@@ -849,3 +849,25 @@ func BenchmarkTimingMemo(b *testing.B) {
 	b.Run("analytic", func(b *testing.B) { benchTimingBackend(b, nil) })
 	b.Run("fast", func(b *testing.B) { benchTimingBackend(b, FastTimingBackend(0)) })
 }
+
+// BenchmarkRunIterations times resnet34 streaming on a fresh sim chip at 1
+// and 8 iterations (see runStreaming). The per-iteration wall times and
+// their ratio show whether the cycle model's cost per simulated op stays
+// independent of run length: it8/it1 near 1 means flat, larger means each
+// iteration pays for the schedule the earlier ones left behind.
+func BenchmarkRunIterations(b *testing.B) {
+	var it1, it8 time.Duration
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		runStreaming(b, "resnet34", 1)
+		t1 := time.Now()
+		runStreaming(b, "resnet34", 8)
+		it1 += t1.Sub(t0)
+		it8 += time.Since(t1)
+	}
+	perIter1 := it1.Seconds() * 1e3 / float64(b.N)
+	perIter8 := it8.Seconds() * 1e3 / float64(b.N) / 8
+	b.ReportMetric(perIter1, "ms/iter@1")
+	b.ReportMetric(perIter8, "ms/iter@8")
+	b.ReportMetric(perIter8/perIter1, "it8/it1")
+}

@@ -3,6 +3,7 @@ package vnpu
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/vnpu-sim/vnpu/internal/core"
 	"github.com/vnpu-sim/vnpu/internal/isa"
 	"github.com/vnpu-sim/vnpu/internal/metrics"
 	"github.com/vnpu-sim/vnpu/internal/obs"
@@ -69,6 +71,10 @@ type Cluster struct {
 	// list for those exclusive claims.
 	regions   []*chipRegions
 	chipNodes [][]topo.NodeID
+
+	// createMu serializes, per chip, each create with the commit of its
+	// cores to the placement engine's mirror (see createPlaced).
+	createMu []sync.Mutex
 
 	// coreNanos is the per-chip occupancy integral: each finished
 	// execution adds its duration times the cores it held, so
@@ -310,6 +316,7 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 		systems:         make([]*System, len(specs)),
 		regions:         make([]*chipRegions, len(specs)),
 		chipNodes:       make([][]topo.NodeID, len(specs)),
+		createMu:        make([]sync.Mutex, len(specs)),
 		coreNanos:       make([]atomic.Int64, len(specs)),
 		curJobs:         make([]atomic.Int64, len(specs)),
 		progs:           make(map[progKey]*progEntry),
@@ -1149,19 +1156,10 @@ func (e *clusterExec) ObserveHit(job Job, cost float64) {
 // the dispatch path; the engine's free-set mirror is committed in the
 // same step. The request's memory was already sized at Submit.
 func (e *clusterExec) Place(chip int, job Job) (*VirtualNPU, error) {
-	req := job.request()
-	mapRes, err := e.engine.Resolve(chip, placeRequest(req))
+	v, err := (*Cluster)(e).createPlaced(chip, job.request(), func(nodes []topo.NodeID) error {
+		return e.engine.Commit(chip, nodes)
+	})
 	if err != nil {
-		return nil, err
-	}
-	v, err := e.systems[chip].hv.CreateVNPUPlaced(req, mapRes)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.engine.Commit(chip, v.Nodes()); err != nil {
-		// The engine's mirror disagrees with the hypervisor — undo the
-		// create rather than serve from a corrupted placement view.
-		_ = e.systems[chip].Destroy(v)
 		return nil, err
 	}
 	// Give the vNPU its private timing domain so Execute can overlap it
@@ -1172,6 +1170,45 @@ func (e *clusterExec) Place(chip int, job Job) (*VirtualNPU, error) {
 		nodes := append([]topo.NodeID(nil), v.Nodes()...)
 		_ = e.systems[chip].Destroy(v)
 		_ = e.engine.Release(chip, nodes)
+		return nil, err
+	}
+	return v, nil
+}
+
+// createPlaced creates req's vNPU on chip at the placement engine's
+// resolved mapping and books its cores into the engine's mirror with
+// commit; a failed commit means the mirror disagrees with the hypervisor,
+// so the create is undone rather than served from a corrupted view.
+//
+// The hypervisor and the mirror change together under the chip's
+// createMu, and every release frees the hypervisor before the mirror, so
+// while the lock is held each core the mirror shows free is free. A
+// mapping resolved before taking the lock can still be stale — a
+// concurrent create claimed one of its cores after the resolve — and then
+// the create resolves once more under the lock, where it cannot go stale.
+// A stale mapping therefore never reaches the caller as a capacity
+// shortage to park on: the chip may have plenty of room.
+func (c *Cluster) createPlaced(chip int, req Request, commit func(nodes []topo.NodeID) error) (*VirtualNPU, error) {
+	preq := placeRequest(req)
+	mapRes, err := c.engine.Resolve(chip, preq)
+	if err != nil {
+		return nil, err
+	}
+	hv := c.systems[chip].hv
+	c.createMu[chip].Lock()
+	defer c.createMu[chip].Unlock()
+	v, err := hv.CreateVNPUPlaced(req, mapRes)
+	if errors.Is(err, core.ErrStalePlacement) {
+		if mapRes, err = c.engine.Resolve(chip, preq); err != nil {
+			return nil, err
+		}
+		v, err = hv.CreateVNPUPlaced(req, mapRes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := commit(v.Nodes()); err != nil {
+		_ = c.systems[chip].Destroy(v)
 		return nil, err
 	}
 	return v, nil

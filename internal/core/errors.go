@@ -1,6 +1,9 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // The typed error taxonomy of the virtualization layer. Every allocation
 // and serving failure wraps exactly one of these sentinels, so callers at
@@ -11,6 +14,13 @@ var (
 	// global memory the request needs right now. The condition is
 	// transient: destroying a vNPU may clear it.
 	ErrNoCapacity = errors.New("insufficient free capacity")
+
+	// ErrStalePlacement reports a precomputed placement whose cores are
+	// no longer all free: a concurrent create claimed one between the
+	// placement's resolution and its use. It wraps ErrNoCapacity, but the
+	// chip may well have room — resolving the placement again against the
+	// current free set is the cure, not waiting for a release.
+	ErrStalePlacement = fmt.Errorf("stale placement: %w", ErrNoCapacity)
 
 	// ErrTopologyUnsatisfiable reports that the requested topology cannot
 	// be realized under the chosen strategy (e.g. StrategyExact found no

@@ -192,8 +192,9 @@ func (h *Hypervisor) CreateVNPU(req Request) (*VNPU, error) {
 // one resolved by the placement engine) instead of re-running MapTopology
 // on the dispatch path. The placement is validated against the current
 // free set under the hypervisor lock: a stale mapping — any core no longer
-// free — fails with ErrNoCapacity and leaves the chip unchanged, so a
-// cached decision can go stale but never double-allocate a core.
+// free — fails with ErrStalePlacement (an ErrNoCapacity) and leaves the
+// chip unchanged, so a cached decision can go stale but never
+// double-allocate a core.
 func (h *Hypervisor) CreateVNPUPlaced(req Request, mapRes MapResult) (*VNPU, error) {
 	if req.Topology == nil || req.Topology.NumNodes() == 0 {
 		return nil, fmt.Errorf("core: request needs a topology")
@@ -210,7 +211,7 @@ func (h *Hypervisor) CreateVNPUPlaced(req Request, mapRes MapResult) (*VNPU, err
 		}
 		seen[n] = true
 		if !h.free[n] {
-			return nil, fmt.Errorf("core: placed node %d is not free (stale placement): %w", n, ErrNoCapacity)
+			return nil, fmt.Errorf("core: placed node %d is not free: %w", n, ErrStalePlacement)
 		}
 	}
 	return h.createMappedLocked(req, mapRes)

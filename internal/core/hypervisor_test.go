@@ -421,8 +421,9 @@ func TestCreateVNPUPlaced(t *testing.T) {
 	}
 
 	// The same mapping is now stale: its cores are allocated.
-	if _, err := h.CreateVNPUPlaced(req, mapRes); !errors.Is(err, ErrNoCapacity) {
-		t.Fatalf("stale placement: got %v, want ErrNoCapacity", err)
+	_, err = h.CreateVNPUPlaced(req, mapRes)
+	if !errors.Is(err, ErrStalePlacement) || !errors.Is(err, ErrNoCapacity) {
+		t.Fatalf("stale placement: got %v, want ErrStalePlacement wrapping ErrNoCapacity", err)
 	}
 	free := len(h.FreeCores())
 	if free != 4 {

@@ -210,14 +210,17 @@ func (p *Port) Transfer(at sim.Cycles, size int) (done sim.Cycles) {
 	}
 	dur := sim.Cycles((size + p.hbm.bytesPerCycle - 1) / p.hbm.bytesPerCycle)
 	// Place the burst in the earliest idle gap across the port's channels
-	// (ties to the first-listed channel, keeping runs deterministic).
+	// (ties to the first-listed channel, keeping runs deterministic). A
+	// channel free at `at` cannot be beaten, so the scan stops there.
 	best := 0
 	bestStart := p.cals[0].Probe(at, dur)
-	for i := 1; i < len(p.cals); i++ {
+	for i := 1; i < len(p.cals) && bestStart > at; i++ {
 		if s := p.cals[i].Probe(at, dur); s < bestStart {
 			best, bestStart = i, s
 		}
 	}
+	// Reserve repeats the winning channel's last Probe, so it commits the
+	// probed gap without searching the calendar again.
 	start := p.cals[best].Reserve(at, dur)
 	p.bytes += int64(size)
 	return start + dur + p.hbm.latency

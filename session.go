@@ -554,21 +554,12 @@ func (c *Cluster) createSession(req Request, class int) (int, *sessRes, error) {
 	})
 	var lastErr error
 	for _, cand := range cands {
-		mapRes, err := c.engine.Resolve(cand.Chip, preq)
+		v, err := c.createPlaced(cand.Chip, req, func(nodes []topo.NodeID) error {
+			return c.engine.Reserve(cand.Chip, nodes, class)
+		})
 		if err != nil {
 			lastErr = err
 			continue
-		}
-		v, err := c.systems[cand.Chip].hv.CreateVNPUPlaced(req, mapRes)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := c.engine.Reserve(cand.Chip, v.Nodes(), class); err != nil {
-			// The engine's mirror disagrees with the hypervisor — undo
-			// the create rather than serve from a corrupted view.
-			_ = c.systems[cand.Chip].Destroy(v)
-			return 0, nil, err
 		}
 		// The resident vNPU executes inside its own timing domain for
 		// its whole lifetime, so warm jobs overlap disjoint neighbors.

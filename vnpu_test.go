@@ -117,3 +117,42 @@ func TestTwoTenantsIsolated(t *testing.T) {
 		t.Fatalf("utilization = %v", sys.Utilization())
 	}
 }
+
+// runStreaming runs a model on a 3x4 vNPU of a freshly booted sim chip,
+// the weight-streaming regime where HBM calendars fill with millions of
+// bursts and one core's DMA runs far ahead of the others'.
+func runStreaming(tb testing.TB, model string, iters int) Report {
+	tb.Helper()
+	sys, err := NewSystem(SimConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := mustModel(tb, model)
+	mem, err := sys.ModelMemoryBytes(m, 12)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v, err := sys.Create(NewRequest(Mesh(3, 4), WithMemory(mem)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := sys.RunModel(v, m, iters)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
+}
+
+// TestStreamingBackfillCycles pins a streaming run long enough that most
+// HBM bursts backfill gaps behind the calendar's tail instead of
+// appending to it: any change to where a burst lands moves the makespan.
+func TestStreamingBackfillCycles(t *testing.T) {
+	rep := runStreaming(t, "resnet34", 8)
+	if !rep.Streaming {
+		t.Fatal("resnet34 on a 3x4 sim vNPU must stream its weights")
+	}
+	const want = 39054539
+	if rep.Cycles != want {
+		t.Fatalf("resnet34 x8: %d cycles, want %d", rep.Cycles, want)
+	}
+}
