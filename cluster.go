@@ -49,7 +49,7 @@ import (
 type Cluster struct {
 	systems  []*System
 	engine   *place.Engine
-	disp     *sched.Dispatcher[Job, *VirtualNPU, JobReport]
+	disp     *sched.Dispatcher[Job, placement, JobReport]
 	maxCores int
 	// clk supplies time to every serving-path timestamp and timer —
 	// deadline checks, queue-wait accounting, the session TTL janitor.
@@ -92,29 +92,9 @@ type Cluster struct {
 	regionWait *obs.Histogram
 
 	// pool holds resident session vNPUs when WithSessionReuse is on (nil
-	// otherwise); see session.go for the serving path built on it.
-	pool        *session.Pool[*sessRes, *sessTask]
-	queueDepth  int
-	tenantQuota int
-
-	// capFreed is the session path's analogue of the dispatcher's freed
-	// signal: a one-slot edge poked whenever capacity returns anywhere
-	// (dispatcher release, session idle/evict/destroy), so session jobs
-	// parked on ErrNoCapacity rescore instead of spinning or failing.
-	capFreed chan struct{}
-
-	// sessMu guards the session path's admission state and serving
-	// counters (tenant quota slots live in the dispatcher's counter via
-	// ReserveSlot, so both paths check it atomically). sessClosed also
-	// serves as the cluster's Close-once flag.
-	sessMu        sync.Mutex
-	sessClosed    bool
-	sessInflight  int
-	sessWG        sync.WaitGroup
-	sessSubmitted uint64
-	sessCompleted uint64
-	sessFailed    uint64
-	sessChipJobs  []int
+	// otherwise); see session.go for how placement hands them out.
+	pool       *session.Pool[*sessRes]
+	queueDepth int
 
 	// defaultPriority is the class PriorityDefault resolves to;
 	// priorityCaps clamps specific tenants' classes (see
@@ -123,7 +103,7 @@ type Cluster struct {
 	priorityCaps    map[string]Priority
 
 	// seenMu guards seen, the auto-promotion memory: session keys
-	// submitted more than once route through the pool even without
+	// submitted more than once are session-keyed even without
 	// Job.Reusable.
 	seenMu sync.Mutex
 	seen   map[session.Key]uint8
@@ -154,7 +134,7 @@ type Cluster struct {
 	// fingerprint, core count, weight zone): admission sizing compiles a
 	// workload once and keeps the sized program, and every later
 	// execution at the same shape — cold session creates and one-shot
-	// dispatcher jobs alike — reuses it, rebased to its vNPU's memory
+	// jobs alike — reuses it, rebased to its vNPU's memory
 	// base, instead of recompiling (see compileFor).
 	progMu sync.Mutex
 	progs  map[progKey]*progEntry
@@ -171,10 +151,6 @@ type Cluster struct {
 	rec   *obs.Recorder
 	slo   *slo.Tracker
 	shard int
-	// sessExec/sessE2E are the session path's handles on the per-class
-	// stage histograms shared with the dispatcher (see initStageHists).
-	sessExec [NumPriorityClasses]*obs.Histogram
-	sessE2E  [NumPriorityClasses]*obs.Histogram
 
 	// testExecHook, when set before any Submit, runs at the start of every
 	// job execution — a test seam for holding jobs on their chips.
@@ -275,13 +251,15 @@ const DefaultQueueDepth = sched.DefaultQueueDepth
 // WithChipSlots is not given.
 const DefaultChipSlots = 4
 
-// WithChipSlots sets how many dispatcher jobs may execute concurrently
-// on one chip (default DefaultChipSlots). Spatially disjoint vNPUs run
-// overlapped, each inside its own timing domain, so every job still
-// observes the cycle timeline it would see alone on the chip; jobs whose
-// core regions overlap — which the hypervisor's disjoint allocations
-// make rare to impossible — serialize on the chip's region lock. n = 1
-// restores the fully serialized execution model.
+// WithChipSlots sets how many jobs may execute concurrently on one chip
+// (default DefaultChipSlots). Spatially disjoint vNPUs run overlapped,
+// each inside its own timing domain, so every job still observes the
+// cycle timeline it would see alone on the chip; jobs whose core regions
+// overlap — which the hypervisor's disjoint allocations make rare to
+// impossible — serialize on the chip's region lock. A job attached to a
+// busy resident session holds its slot while it waits there behind the
+// session's running job. n = 1 restores the fully serialized execution
+// model.
 func WithChipSlots(n int) ClusterOption {
 	return func(c *clusterConfig) { c.chipSlots = n }
 }
@@ -320,9 +298,7 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 		coreNanos:       make([]atomic.Int64, len(specs)),
 		curJobs:         make([]atomic.Int64, len(specs)),
 		progs:           make(map[progKey]*progEntry),
-		sessChipJobs:    make([]int, len(specs)),
 		seen:            make(map[session.Key]uint8),
-		capFreed:        make(chan struct{}, 1),
 		defaultPriority: cc.defaultPriority,
 		priorityCaps:    cc.priorityCaps,
 	}
@@ -420,13 +396,12 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 	if c.queueDepth <= 0 {
 		c.queueDepth = DefaultQueueDepth
 	}
-	c.tenantQuota = cc.tenantQuota
 	slots := cc.chipSlots
 	if slots <= 0 {
 		slots = DefaultChipSlots
 	}
 	c.chipSlots = slots
-	disp, err := sched.New[Job, *VirtualNPU, JobReport](
+	disp, err := sched.New[Job, placement, JobReport](
 		(*clusterExec)(c),
 		sched.Config{
 			Chips:       len(specs),
@@ -435,18 +410,12 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 			Classes:     NumPriorityClasses,
 			AgingRounds: cc.agingRounds,
 			TenantQuota: cc.tenantQuota,
-			// The two serving paths share the chips: busy sessions keep an
-			// unplaceable dispatcher job parked (their release Kicks)
-			// instead of failing it on an "idle" cluster, and idle warm
-			// sessions are evicted on demand when a dispatcher job cannot
+			// Idle warm sessions are evicted on demand when a job cannot
 			// place — including create-stage failures like memory
-			// exhaustion that ranking cannot see. They also share the
-			// tenant quota — session jobs reserve dispatcher slots
-			// (ReserveSlot), so one counter guards both paths atomically.
-			ExternalBusy: c.sessionBusy,
-			Reclaim:      c.sessionReclaim,
-			Clock:        cc.clock,
-			StageHist:    c.stageHist,
+			// exhaustion that ranking cannot see.
+			Reclaim:   c.sessionReclaim,
+			Clock:     cc.clock,
+			StageHist: c.stageHist,
 		},
 	)
 	if err != nil {
@@ -455,11 +424,15 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 	disp.SetPrewarm(c.prewarmPlacement)
 	if c.rec != nil || c.slo != nil {
 		disp.SetObserver(func(job Job, stage obs.Stage, detail string, chip int) {
+			// A session-keyed job's claim is recorded by Place as its
+			// session outcome (warm, cold or batched) instead.
+			if stage == obs.StagePlaced && job.sess != nil && detail != "map-parked" {
+				return
+			}
 			c.trace(&job, stage, detail, chip)
 		})
 	}
 	c.disp = disp
-	c.initStageHists()
 	c.reg.AddCollector(c.collect)
 	// A fleet-shared tracker is collected once at the fleet level;
 	// registering it per shard would duplicate every vnpu_slo_* series in
@@ -468,19 +441,15 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 		c.reg.AddCollector(c.slo.Collect)
 	}
 	if cc.sessionReuse {
-		pool, err := session.New[*sessRes, *sessTask](session.Config[*sessRes]{
-			Destroy:         c.destroySession,
-			Cores:           func(r *sessRes) int { return r.v.NumCores() },
-			Priority:        func(r *sessRes) int { return r.class },
-			IsCapacity:      capacityCurable,
-			MaxIdle:         cc.sessionIdle,
-			TTL:             cc.sessionTTL,
-			MicroQueueDepth: cc.sessionMicro,
-			Clock:           cc.clock,
-			OnFree: func() {
-				disp.Kick()
-				c.pokeSessions()
-			},
+		pool, err := session.New[*sessRes](session.Config[*sessRes]{
+			Destroy:     c.destroySession,
+			Cores:       func(r *sessRes) int { return r.v.NumCores() },
+			Priority:    func(r *sessRes) int { return r.class },
+			MaxIdle:     cc.sessionIdle,
+			TTL:         cc.sessionTTL,
+			AttachDepth: cc.sessionMicro,
+			Clock:       cc.clock,
+			OnFree:      disp.Kick,
 		})
 		if err != nil {
 			return nil, err
@@ -588,8 +557,13 @@ func maxFloat(a, b float64) float64 {
 // blocks — with the pool saturated the speculation is dropped — and the
 // engine's single-flight dedups a speculative computation racing the
 // dispatcher's own. PlacementStats counts how speculation pays off
-// (PrewarmRuns/PrewarmHits/PrewarmWasted).
+// (PrewarmRuns/PrewarmHits/PrewarmWasted). Session-keyed jobs are not
+// speculated on: most of them place on a resident session, which needs
+// no mapping.
 func (c *Cluster) prewarmPlacement(job Job) {
+	if job.sess != nil {
+		return
+	}
 	c.engine.Prewarm(placeRequest(job.request()))
 }
 
@@ -777,12 +751,13 @@ func (c *Cluster) resolvePriority(job Job) Priority {
 // job's whole lifetime: canceling it abandons the job whether queued or
 // awaiting capacity.
 //
-// Admission order is owned by one scheduler core across both serving
-// paths: higher Priority classes place first (with aging protecting
+// Every job takes one path through the dispatcher, which owns admission
+// order: higher Priority classes place first (with aging protecting
 // lower classes from starvation), earlier Deadlines first within a
-// class, admission order last — and session-eligible jobs cannot outrun
-// older queued one-shot jobs of equal-or-higher class (they wait their
-// turn on a shared sequence ticket).
+// class, admission order last. A session-keyed job (see Job.Reusable) is
+// placed on a resident session — warm, attached to a busy one, or
+// created cold — when its turn comes, so it cannot outrun older queued
+// work of equal-or-higher class either.
 func (c *Cluster) Submit(ctx context.Context, job Job) (*Handle, error) {
 	if job.Topology == nil || job.Topology.NumNodes() == 0 {
 		return nil, fmt.Errorf("vnpu: job needs a topology")
@@ -848,13 +823,13 @@ func (c *Cluster) Submit(ctx context.Context, job Job) (*Handle, error) {
 		}
 		c.trace(&job, obs.StageSubmit, "", -1)
 	}
-	// Session-eligible jobs lease resident vNPUs instead of paying
+	// Session-keyed jobs run on resident vNPUs instead of paying
 	// create→map→run→destroy per job: explicit opt-in via Job.Reusable, or
 	// auto-promotion once the same (tenant, model, topology, options)
-	// fingerprint repeats. Everything else takes the dispatcher path.
+	// fingerprint repeats.
 	if c.pool != nil {
 		if key, ok := sessionKeyOf(job, req, modelSig); ok && (job.Reusable || c.autoPromote(key)) {
-			return c.submitSession(ctx, job, req, key)
+			job.sess = &key
 		}
 	}
 	h, err := c.disp.Submit(ctx, job.tenant(), job.Priority.class(), job.Deadline, job)
@@ -886,27 +861,18 @@ func (c *Cluster) Utilization() []float64 {
 	return out
 }
 
-// Close stops intake on both serving paths, waits for every admitted job
-// to finish, destroys the resident session vNPUs, and shuts down the
-// dispatcher and chip workers. Submissions after Close fail with
-// ErrDestroyed.
+// Close stops intake, waits for every admitted job to finish, shuts down
+// the dispatcher and chip workers, and destroys the resident session
+// vNPUs. Submissions after Close fail with ErrDestroyed.
 func (c *Cluster) Close() error {
-	c.sessMu.Lock()
-	already := c.sessClosed
-	c.sessClosed = true
-	c.sessMu.Unlock()
-	if already {
+	if err := c.disp.Close(); err != nil {
 		return fmt.Errorf("vnpu: cluster closed: %w", ErrDestroyed)
 	}
-	// Session jobs may still be draining micro-queues; they finish (or
-	// fail on canceled contexts) on their own.
-	c.sessWG.Wait()
+	// Every job has released its session, so the pool holds idle
+	// sessions only.
 	var poolErr error
 	if c.pool != nil {
 		poolErr = c.pool.Close()
-	}
-	if err := c.disp.Close(); err != nil {
-		return err
 	}
 	// The dispatcher has drained every job (including map-parked ones),
 	// so no one waits on an async mapping anymore; stop the workers last.
@@ -935,10 +901,10 @@ type ClusterStats struct {
 	// executions, it never exceeds elapsed time, so busy/wall stays a
 	// true per-chip utilization.
 	ChipBusy []time.Duration
-	// HitsFirst counts dispatcher jobs started through the hits-first
-	// fast path (a cached placement within the regret bound).
+	// HitsFirst counts jobs started through the hits-first fast path (a
+	// cached placement within the regret bound, or a resident session).
 	HitsFirst uint64
-	// MapParked counts dispatcher jobs that parked on an async mapping
+	// MapParked counts jobs that parked on an async mapping
 	// instead of blocking the dispatch loop on a mapper run.
 	MapParked uint64
 	// ExecOverlapAvg is the mean number of executions in flight on a
@@ -951,19 +917,16 @@ type ClusterStats struct {
 
 // SchedStats is a per-class snapshot of the scheduler core: submissions,
 // completions, deadline misses, queued-work displacements, aging
-// promotions and p50/p99 queueing latency per priority class, covering
-// BOTH serving paths. Index it with Priority.class-order (0 =
-// PriorityBestEffort ... 3 = PriorityCritical).
+// promotions and p50/p99 queueing latency per priority class. Index it
+// with Priority.class-order (0 = PriorityBestEffort ... 3 =
+// PriorityCritical).
 type SchedStats = metrics.SchedStats
 
 // SchedStats returns the per-class scheduler counters.
 func (c *Cluster) SchedStats() SchedStats { return c.Snapshot().Sched }
 
-// Stats returns a snapshot of the cluster's serving counters, covering
-// both serving paths: dispatcher jobs and session-pool jobs alike count
-// toward Submitted/Completed/Failed and the per-chip totals. It reads
-// through Snapshot (see telemetry.go), the single merge point for both
-// paths' counters.
+// Stats returns a snapshot of the cluster's serving counters. It reads
+// through Snapshot (see telemetry.go).
 func (c *Cluster) Stats() ClusterStats { return c.Snapshot().Cluster }
 
 // PlacementStats returns a snapshot of the placement engine's counters:
@@ -972,18 +935,14 @@ func (c *Cluster) Stats() ClusterStats { return c.Snapshot().Cluster }
 func (c *Cluster) PlacementStats() PlacementStats { return c.Snapshot().Placement }
 
 // Pressure reports the cluster's serving load as a routing signal for a
-// fleet's one-shot balancer: admitted-but-unfinished work on both
-// serving paths normalized by the queue depth, plus the fraction of
-// cores any vNPU holds (running jobs and resident sessions alike — the
-// held-core term keeps traffic off shards whose capacity is pinned even
-// when their queues are short). Higher means more loaded; the scale is
+// fleet's one-shot balancer: admitted-but-unfinished jobs normalized by
+// the queue depth, plus the fraction of cores any vNPU holds (running
+// jobs and resident sessions alike — the held-core term keeps traffic
+// off shards whose capacity is pinned even when their queues are short). Higher means more loaded; the scale is
 // comparable across shards of one fleet, not across differently-sized
 // clusters.
 func (c *Cluster) Pressure() float64 {
-	c.sessMu.Lock()
-	sess := c.sessInflight
-	c.sessMu.Unlock()
-	p := float64(c.disp.Pending()+sess) / float64(c.queueDepth)
+	p := float64(c.disp.Pending()) / float64(c.queueDepth)
 	total, held := 0, 0
 	for _, sys := range c.systems {
 		cores := sys.Config().Cores()
@@ -996,14 +955,9 @@ func (c *Cluster) Pressure() float64 {
 	return p
 }
 
-// quiesced reports that the cluster owns no admitted-but-unfinished work
-// on either serving path — the drain condition a fleet waits for.
-func (c *Cluster) quiesced() bool {
-	c.sessMu.Lock()
-	sess := c.sessInflight
-	c.sessMu.Unlock()
-	return sess == 0 && c.disp.Pending() == 0
-}
+// quiesced reports that the cluster owns no admitted-but-unfinished
+// job — the drain condition a fleet waits for.
+func (c *Cluster) quiesced() bool { return c.disp.Pending() == 0 }
 
 // flushSessions evicts every idle resident session, returning capacity
 // to the chips — a drained shard must not keep warm leases whose keys
@@ -1025,6 +979,17 @@ func (c *Cluster) flushSessions() int {
 // private timing domains, overlapping ones serialize.
 type clusterExec Cluster
 
+// placement is what Place hands a job's chip worker: the vNPU the job
+// runs on and, for a session-keyed job, its lease on the resident session
+// (nil for a one-shot vNPU, which Release destroys).
+type placement struct {
+	v    *VirtualNPU
+	sess *sessLease
+	// warm reports that the vNPU was already resident (a warm lease or an
+	// attach), not created for the job.
+	warm bool
+}
+
 // placeRequest projects a job's Request onto the placement engine's.
 func placeRequest(req Request) place.Request {
 	return place.Request{
@@ -1044,13 +1009,17 @@ func placeRequest(req Request) place.Request {
 // held by idle warm sessions are excluded from the load term (they are
 // reclaimable, not busy) and instead feed the Warm tiebreak, so a
 // backlogged chip with a warm pool wins ties over one whose allocation is
-// all hard.
+// all hard. A session-keyed job is offered its resident session first
+// (see resident), with no engine call at all.
 //
 // When no chip can host the job because warm sessions hold the capacity,
 // Rank reclaims idle sessions LRU-first and rescores — queued jobs that
 // need fresh rectangles evict warm pools instead of failing with
 // ErrNoCapacity.
 func (e *clusterExec) Rank(job Job) ([]sched.Candidate, error) {
+	if cands := e.resident(job); cands != nil {
+		return cands, nil
+	}
 	req := placeRequest(job.request())
 	for {
 		cands, err := e.engine.Place(req)
@@ -1060,26 +1029,48 @@ func (e *clusterExec) Rank(job Job) ([]sched.Candidate, error) {
 			}
 			return nil, err
 		}
-		return e.scoreCandidates(cands), nil
+		return e.scoreCandidates(job, cands), nil
 	}
 }
 
+// resident offers a session-keyed job the chip of a resident session it
+// can run on without claiming capacity: an idle session of its key, else
+// a busy one with attach room (see placeSession). It is one pool lookup
+// under the pool's lock.
+func (e *clusterExec) resident(job Job) []sched.Candidate {
+	if job.sess == nil {
+		return nil
+	}
+	chip, ok := e.pool.Offer(*job.sess)
+	if !ok {
+		return nil
+	}
+	return []sched.Candidate{{Chip: chip, Resident: true}}
+}
+
 // scoreCandidates folds the load and warm terms into the engine's
-// cost/price candidates (see Rank for the semantics of each term).
-func (e *clusterExec) scoreCandidates(cands []place.Candidate) []sched.Candidate {
+// cost/price candidates (see Rank for the semantics of each term). For a
+// session-keyed job, whose placement on these chips is a cold session
+// create, the load term is replaced by consolidation: among equal cost
+// and price, the chip already holding the most session cores of
+// equal-or-lower class wins — residency this class may cannibalize under
+// pressure piles up together, while higher-class warm pools and free
+// chips stay intact for topologies that need fresh rectangles.
+func (e *clusterExec) scoreCandidates(job Job, cands []place.Candidate) []sched.Candidate {
 	out := make([]sched.Candidate, len(cands))
 	for i, c := range cands {
 		backlog := float64(e.disp.Backlog(c.Chip))
 		usage := (*Cluster)(e).coreUsage(c.Chip)
-		out[i] = sched.Candidate{
-			Chip: c.Chip,
-			Score: sched.Score{
-				Cost:  c.Cost,
-				Price: c.Price,
-				Load:  (usage.ActiveFraction() + backlog/(backlog+1)) / 2,
-				Warm:  usage.WarmFraction(),
-			},
+		score := sched.Score{
+			Cost:  c.Cost,
+			Price: c.Price,
+			Load:  (usage.ActiveFraction() + backlog/(backlog+1)) / 2,
+			Warm:  usage.WarmFraction(),
 		}
+		if job.sess != nil {
+			score.Load = -float64(e.engine.HeldBelow(c.Chip, job.Priority.class()))
+		}
+		out[i] = sched.Candidate{Chip: c.Chip, Score: score}
 	}
 	return out
 }
@@ -1089,19 +1080,23 @@ func (e *clusterExec) scoreCandidates(cands []place.Candidate) []sched.Candidate
 // qualify, and no mapping is ever computed — an opportunistic
 // out-of-order placement must be free to evaluate, or backfilling would
 // serialize mapper work behind the head-of-line job it is meant to
-// bypass.
+// bypass. It never offers a resident session.
 func (e *clusterExec) RankCached(job Job) []sched.Candidate {
-	return e.scoreCandidates(e.engine.PlaceCached(placeRequest(job.request())))
+	return e.scoreCandidates(job, e.engine.PlaceCached(placeRequest(job.request())))
 }
 
-// RankHit is the dispatcher's hits-first rank: the cached candidates
-// whose edit-distance cost is within the cluster's regret bound. A job
-// started from one can regret at most that bound versus the exhaustive
-// cold rank (the cold optimum is never negative), which is the
-// bounded-regret relaxation of the old cached==cold equivalence — see
+// RankHit is the dispatcher's hits-first rank: a session-keyed job's
+// resident session when it has one, else the cached candidates whose
+// edit-distance cost is within the cluster's regret bound. A job started
+// from one can regret at most that bound versus the exhaustive cold rank
+// (the cold optimum is never negative), which is the bounded-regret
+// relaxation of the old cached==cold equivalence — see
 // WithPlacementRegret. Price/load tiebreaks among the returned
 // candidates are the ordinary scoring.
 func (e *clusterExec) RankHit(job Job) []sched.Candidate {
+	if cands := e.resident(job); cands != nil {
+		return cands
+	}
 	bound, ok := (*Cluster)(e).hitsFirstBound()
 	if !ok {
 		return nil
@@ -1113,7 +1108,7 @@ func (e *clusterExec) RankHit(job Job) []sched.Candidate {
 			eligible = append(eligible, c)
 		}
 	}
-	return e.scoreCandidates(eligible)
+	return e.scoreCandidates(job, eligible)
 }
 
 // hitsFirstBound resolves the regret bound in force for this dispatch:
@@ -1146,21 +1141,32 @@ func (e *clusterExec) RankAsync(job Job) <-chan struct{} {
 // cheaper its eventual best mapping was than the cached candidate the
 // job started on. Bounded and fire-and-forget — see
 // place.Engine.ObserveRegret; PlacementStats reports the distribution.
+// Session-keyed jobs are not sampled: most start on a resident session,
+// which skipped no rank, and sampling one would start a mapper run per
+// warm hit.
 func (e *clusterExec) ObserveHit(job Job, cost float64) {
+	if job.sess != nil {
+		return
+	}
 	e.engine.ObserveRegret(placeRequest(job.request()), cost)
 	(*Cluster)(e).maybeRetuneRegret()
 }
 
-// Place creates the job's vNPU on the chosen chip, reusing the engine's
-// resolved mapping so the hypervisor never re-runs the topology mapper on
-// the dispatch path; the engine's free-set mirror is committed in the
-// same step. The request's memory was already sized at Submit.
-func (e *clusterExec) Place(chip int, job Job) (*VirtualNPU, error) {
+// Place claims the job's placement on the chosen chip: a resident
+// session for a session-keyed job (see placeSession), otherwise a fresh
+// vNPU created at the engine's resolved mapping, so the hypervisor never
+// re-runs the topology mapper on the dispatch path; the engine's
+// free-set mirror is committed in the same step. The request's memory
+// was already sized at Submit.
+func (e *clusterExec) Place(chip int, job Job) (placement, error) {
+	if job.sess != nil {
+		return (*Cluster)(e).placeSession(chip, job)
+	}
 	v, err := (*Cluster)(e).createPlaced(chip, job.request(), func(nodes []topo.NodeID) error {
 		return e.engine.Commit(chip, nodes)
 	})
 	if err != nil {
-		return nil, err
+		return placement{}, err
 	}
 	// Give the vNPU its private timing domain so Execute can overlap it
 	// with disjoint neighbors. The hypervisor hands out disjoint core
@@ -1170,9 +1176,9 @@ func (e *clusterExec) Place(chip int, job Job) (*VirtualNPU, error) {
 		nodes := append([]topo.NodeID(nil), v.Nodes()...)
 		_ = e.systems[chip].Destroy(v)
 		_ = e.engine.Release(chip, nodes)
-		return nil, err
+		return placement{}, err
 	}
-	return v, nil
+	return placement{v: v}, nil
 }
 
 // createPlaced creates req's vNPU on chip at the placement engine's
@@ -1214,41 +1220,19 @@ func (c *Cluster) createPlaced(chip int, req Request, commit func(nodes []topo.N
 	return v, nil
 }
 
-// Execute runs the job on its placed vNPU. The program comes from the
-// cluster's compile-once cache — admission sizing already compiled the
-// shape, so repeat one-shot traffic runs a cached program rebased to its
-// vNPU instead of recompiling per job. The vNPU's private timing domain
-// is reset first (ResetForRun): each job gets a fresh cycle timeline
-// without disturbing neighbors executing concurrently on the same chip.
-// The region claim admits the execution — normally immediately, since
-// placed vNPUs hold disjoint cores. The job's context cancels mid-run:
-// the simulator polls it between timeline events.
-func (e *clusterExec) Execute(ctx context.Context, chip int, v *VirtualNPU, job Job) (JobReport, error) {
+// Execute runs the job on its placed vNPU (see run) and reports it. A
+// failure other than the job's own cancellation leaves a resident
+// session suspect: it is marked to be destroyed at its last release
+// instead of pooled.
+func (e *clusterExec) Execute(ctx context.Context, chip int, pl placement, job Job) (JobReport, error) {
 	if err := ctx.Err(); err != nil {
 		return JobReport{}, err
 	}
-	sys := e.systems[chip]
-	sig := job.modelSig
-	if sig == 0 {
-		// Defensive: only Submit-built jobs carry the fingerprint.
-		sig = modelSignature(job.Model)
-	}
-	// Resolve the program before claiming the region: a cache hit costs
-	// a map lookup (plus a rebase copy), and a miss compiles without
-	// holding cores another job might be waiting on.
-	cm, err := (*Cluster)(e).compileFor(chip, v, job.Model, sig)
+	rep, err := (*Cluster)(e).run(ctx, chip, pl, job)
 	if err != nil {
-		return JobReport{}, err
-	}
-	claim := (*Cluster)(e).acquireRegion(chip, v)
-	if e.testExecHook != nil {
-		e.testExecHook(chip)
-	}
-	start := e.clk.Now()
-	v.ResetForRun()
-	rep, err := sys.RunCompiled(ctx, v, cm, job.Iterations)
-	(*Cluster)(e).releaseRegion(chip, claim, v.NumCores(), e.clk.Since(start))
-	if err != nil {
+		if pl.sess != nil && ctx.Err() == nil {
+			pl.sess.Fail()
+		}
 		return JobReport{}, err
 	}
 	return JobReport{
@@ -1256,22 +1240,85 @@ func (e *clusterExec) Execute(ctx context.Context, chip int, v *VirtualNPU, job 
 		Chip:     chip,
 		Tenant:   job.tenant(),
 		Model:    job.Model.Name,
-		MapCost:  v.MapCost(),
+		MapCost:  pl.v.MapCost(),
 		Priority: job.Priority,
+		Warm:     pl.warm,
 	}, nil
 }
 
-// Release destroys the job's vNPU, returning its cores and memory to the
-// chip and the freed cores to the engine's mirror.
-func (e *clusterExec) Release(chip int, v *VirtualNPU) error {
-	nodes := append([]topo.NodeID(nil), v.Nodes()...)
-	if err := e.systems[chip].Destroy(v); err != nil {
+// run executes the job on its placement's vNPU. The program comes from
+// the cluster's compile-once cache — admission sizing already compiled
+// the shape, so repeat one-shot traffic runs a cached program rebased to
+// its vNPU instead of recompiling per job, and a resident session keeps
+// the program its first job resolved. The vNPU's private timing domain
+// is reset first (ResetForRun): each job gets a fresh cycle timeline
+// without disturbing neighbors executing concurrently on the same chip.
+// The region claim admits the execution — immediately for disjoint
+// vNPUs; a job attached to a busy session waits there behind the
+// session's running job. The job's context cancels mid-run: the
+// simulator polls it between timeline events.
+func (c *Cluster) run(ctx context.Context, chip int, pl placement, job Job) (Report, error) {
+	sig := job.modelSig
+	if sig == 0 {
+		// Defensive: only Submit-built jobs carry the fingerprint.
+		sig = modelSignature(job.Model)
+	}
+	v := pl.v
+	var cm *CompiledModel
+	var err error
+	if pl.sess == nil {
+		// Resolve the program before claiming the region: a cache hit
+		// costs a map lookup (plus a rebase copy), and a miss compiles
+		// without holding cores another job might be waiting on.
+		if cm, err = c.compileFor(chip, v, job.Model, sig); err != nil {
+			return Report{}, err
+		}
+	}
+	claim := c.acquireRegion(chip, v)
+	// An attached job may have been canceled while it waited for the
+	// claim.
+	if err := ctx.Err(); err != nil {
+		c.releaseRegion(chip, claim, v.NumCores(), 0)
+		return Report{}, fmt.Errorf("vnpu: job canceled before execution: %w", err)
+	}
+	if c.testExecHook != nil {
+		c.testExecHook(chip)
+	}
+	start := c.clk.Now()
+	if pl.sess != nil {
+		// The claim serializes a session's jobs, so whichever runs first
+		// resolves the program and the rest read it.
+		r := pl.sess.Resource()
+		if r.cm == nil {
+			r.cm, err = c.compileFor(chip, v, job.Model, sig)
+		}
+		cm = r.cm
+	}
+	var rep Report
+	if err == nil {
+		v.ResetForRun()
+		rep, err = c.systems[chip].RunCompiled(ctx, v, cm, job.Iterations)
+	}
+	c.releaseRegion(chip, claim, v.NumCores(), c.clk.Since(start))
+	return rep, err
+}
+
+// Release returns the job's placement. A one-shot vNPU is destroyed,
+// returning its cores and memory to the chip and the freed cores to the
+// engine's mirror. A session lease is dropped: at its last release the
+// session goes idle for the next warm hit (or is destroyed, if a job
+// failed on it).
+func (e *clusterExec) Release(chip int, pl placement) error {
+	if pl.sess != nil {
+		// The vNPU lease drops first: the session's last release may
+		// destroy the vNPU.
+		pl.v.Unlease()
+		pl.sess.Release()
+		return nil
+	}
+	nodes := append([]topo.NodeID(nil), pl.v.Nodes()...)
+	if err := e.systems[chip].Destroy(pl.v); err != nil {
 		return err
 	}
-	if err := e.engine.Release(chip, nodes); err != nil {
-		return err
-	}
-	// Session jobs parked on capacity watch dispatcher releases too.
-	(*Cluster)(e).pokeSessions()
-	return nil
+	return e.engine.Release(chip, nodes)
 }

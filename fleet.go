@@ -228,11 +228,10 @@ func (f *Fleet) Submit(ctx context.Context, job Job) (*FleetHandle, error) {
 	return &FleetHandle{Handle: h, shard: shard}, nil
 }
 
-// forward re-submits a stolen job on the given shard (or, when the shard
-// is out of the rotation, the least-pressured active one) and mirrors
-// the outcome back onto the job's original handle. Every failure path
-// resolves the handle with a typed error — a stolen job can be refused,
-// never lost.
+// forward re-submits a stolen job, under its original handle, on the
+// given shard (or, when the shard is out of the rotation, the
+// least-pressured active one). Every failure path resolves the handle
+// with a typed error — a stolen job can be refused, never lost.
 func (f *Fleet) forward(st sched.Stolen[Job, JobReport], shard int) {
 	if shard < 0 || !f.router.IsActive(shard) {
 		var ok bool
@@ -242,29 +241,16 @@ func (f *Fleet) forward(st sched.Stolen[Job, JobReport], shard int) {
 			return
 		}
 	}
-	h2, err := f.shards[shard].disp.Submit(st.Ctx, st.Tenant, st.Class, st.Deadline, st.Job)
-	if err != nil {
+	if err := f.shards[shard].disp.Adopt(st); err != nil {
 		st.Handle.Finish(JobReport{}, fmt.Errorf("vnpu: re-homing stolen job to shard %d: %w", shard, err))
-		return
 	}
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		<-h2.Done()
-		select {
-		case <-h2.Started():
-			st.Handle.MarkStarted(h2.Chip())
-		default:
-		}
-		rep, err := h2.Wait(context.Background())
-		st.Handle.Finish(rep, err)
-	}()
 }
 
 // stealLoop periodically moves queued best-effort work from the most- to
 // the least-pressured shard. Only class-0 (best-effort) jobs move:
 // higher classes place soon wherever they are, and moving them would
-// reorder SLO traffic for nothing.
+// reorder SLO traffic for nothing. Session-keyed jobs stay too: their
+// key hashes to this shard, where their resident session lives.
 func (f *Fleet) stealLoop() {
 	defer f.wg.Done()
 	for {
@@ -297,7 +283,7 @@ func (f *Fleet) stealOnce() {
 	if hi < 0 || hi == lo || hiP-loP < stealGap {
 		return
 	}
-	stolen := f.shards[hi].disp.Steal(PriorityBestEffort.class(), stealBatch)
+	stolen := f.shards[hi].disp.Steal(PriorityBestEffort.class(), stealBatch, sessionKeyed)
 	if len(stolen) == 0 {
 		return
 	}
@@ -309,9 +295,13 @@ func (f *Fleet) stealOnce() {
 	}
 }
 
+// sessionKeyed pins a job to its shard for the stealer.
+func sessionKeyed(job Job) bool { return job.sess != nil }
+
 // Drain takes a shard out of the rotation and empties it: admissions
 // stop (its session keys re-home to the surviving shards immediately),
-// its queued jobs are stolen and re-submitted on active shards, running
+// its queued jobs — session-keyed ones included — are stolen and
+// re-submitted on active shards, running
 // work finishes in place, and its warm sessions are flushed once quiet.
 // Drain returns when the shard is empty, or with ctx's error — the
 // shard then keeps draining in the rotation sense but may still hold
@@ -331,7 +321,7 @@ func (f *Fleet) Drain(ctx context.Context, shard int) error {
 	// Re-home the whole queue, all classes: the shard is leaving, so
 	// unlike the stealer there is no affinity left to respect.
 	for {
-		stolen := f.shards[shard].disp.Steal(NumPriorityClasses-1, stealBatch)
+		stolen := f.shards[shard].disp.Steal(NumPriorityClasses-1, stealBatch, nil)
 		if len(stolen) == 0 {
 			break
 		}
@@ -422,9 +412,9 @@ func (f *Fleet) Stats() FleetStats {
 	return s
 }
 
-// Close stops the stealer, closes every shard (each waits for its
-// admitted jobs) and joins the forwarding goroutines. Submissions after
-// Close fail with ErrDestroyed.
+// Close stops the stealer and closes every shard (each waits for its
+// admitted jobs, forwarded ones included). Submissions after Close fail
+// with ErrDestroyed.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	if f.closed {

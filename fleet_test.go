@@ -3,6 +3,7 @@ package vnpu
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -219,5 +220,84 @@ func TestFleetChurn(t *testing.T) {
 	}
 	if _, err := f.Submit(context.Background(), Job{Tenant: "x", Model: model, Topology: Chain(2)}); !errors.Is(err, ErrDestroyed) {
 		t.Fatalf("submit after close: got %v, want ErrDestroyed", err)
+	}
+}
+
+// TestFleetDrainRehomesQueuedSessionJob: draining a shard re-homes its
+// queued session-keyed jobs too — one queued behind a job holding the
+// shard's only chip completes on the other shard while the drained one
+// is still blocked. (The stealer, unlike Drain, leaves session-keyed jobs
+// on their owner shard.)
+func TestFleetDrainRehomesQueuedSessionJob(t *testing.T) {
+	f, err := NewFleet(FPGAConfig(), 2, 1, WithSessionReuse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	for i := range gates {
+		gate := gates[i]
+		f.Shard(i).testExecHook = func(int) { <-gate }
+	}
+	ctx := context.Background()
+	whole := func(tenant string) Job {
+		return Job{Tenant: tenant, Model: mustModel(t, "mobilenet"), Topology: Mesh(2, 4), Reusable: true}
+	}
+
+	// Hold the owner shard's only chip.
+	holder, err := f.Submit(ctx, whole("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := holder.Shard()
+	<-holder.Started()
+	other := 1 - owner
+	close(gates[other])
+
+	// A session job whose key the owner shard also owns: the first parks
+	// as the dispatcher's head, the second queues behind it.
+	var queued Job
+	for i := 0; ; i++ {
+		queued = whole(fmt.Sprintf("b%d", i))
+		key, _ := routeKey(queued)
+		if s, _ := f.router.Owner(key); s == owner {
+			break
+		}
+	}
+	head, err := f.Submit(ctx, queued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := f.Submit(ctx, queued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head.Shard() != owner || tail.Shard() != owner {
+		t.Fatalf("session jobs landed on shards %d/%d, want owner %d", head.Shard(), tail.Shard(), owner)
+	}
+
+	drained := make(chan error, 1)
+	go func() { drained <- f.Drain(ctx, owner) }()
+	waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	rep, err := tail.Wait(waitCtx)
+	if err != nil {
+		t.Fatalf("queued session job did not complete off the draining shard: %v", err)
+	}
+	if s := f.Stats(); s.ReHomed == 0 {
+		t.Fatalf("no job re-homed: %+v", s)
+	}
+	if rep.Chip != 0 || f.Shard(other).Stats().Completed == 0 {
+		t.Fatalf("re-homed job did not run on shard %d: %+v", other, f.Shard(other).Stats())
+	}
+
+	close(gates[owner])
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, h := range []*FleetHandle{holder, head} {
+		if _, err := h.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

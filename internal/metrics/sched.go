@@ -3,12 +3,11 @@ package metrics
 import "time"
 
 // SchedClassStats is one priority class's serving counters and queueing
-// latency percentiles. The dispatcher (internal/sched) fills it for both
-// serving paths — its own queue and the session pool report into the
-// same per-class accounting — and Cluster.SchedStats exposes it;
+// latency percentiles. The dispatcher (internal/sched) fills it for
+// every job, session-keyed or not, and Cluster.SchedStats exposes it;
 // cmd/vnpuserve -priomix prints the per-class table.
 type SchedClassStats struct {
-	// Submitted counts jobs admitted into the class (both paths).
+	// Submitted counts jobs admitted into the class.
 	Submitted uint64
 	// Completed counts jobs of the class that finished successfully.
 	Completed uint64

@@ -4,8 +4,8 @@ import "time"
 
 // SessionStats is a snapshot of the session pool's serving counters: how
 // often jobs were served by a warm resident vNPU (skipping placement and
-// create entirely), how often they were co-scheduled onto a busy session
-// through its micro-queue, what evictions cost the pool, and how warm
+// create entirely), how often they were attached to a busy session to
+// run after its current job, what evictions cost the pool, and how warm
 // and cold acquisition latencies compare. The session pool
 // (internal/session) fills it; Cluster.SessionStats exposes it and
 // cmd/vnpuserve -reuse prints it in the end-of-run report.
@@ -16,8 +16,8 @@ type SessionStats struct {
 	// ColdCreates counts jobs that created a new resident session (full
 	// placement + create path).
 	ColdCreates uint64
-	// Batched counts jobs co-scheduled onto a busy session through its
-	// micro-queue — the continuous-batching path (no acquire at all).
+	// Batched counts jobs attached to a busy session to run after its
+	// current job — continuous batching (no idle session, no create).
 	Batched uint64
 	// EvictedTTL counts idle sessions destroyed because their idle TTL
 	// expired.
@@ -47,7 +47,7 @@ type SessionStats struct {
 func (s SessionStats) Jobs() uint64 { return s.WarmHits + s.ColdCreates + s.Batched }
 
 // HitRate reports the fraction of pool-routed jobs that skipped the
-// create path (warm hits plus micro-queue batches; 0 before any job).
+// create path (warm hits plus attached jobs; 0 before any job).
 func (s SessionStats) HitRate() float64 {
 	total := s.Jobs()
 	if total == 0 {

@@ -20,28 +20,29 @@ import (
 // Stage is one step of a job's serving lifecycle. The transitions a
 // healthy job records are
 //
-//	submit → admitted → placed[hit|miss|map-parked] →
-//	session[warm|cold|batched] → executing → done
+//	submit → admitted → placed[hit|miss|map-parked] → executing → done
 //
-// with session only on the session serving path, and failed replacing
-// done on any error. Detail strings (Event.Detail) qualify a stage:
-// placed carries hit/miss/map-parked, session carries warm/cold/batched.
+// A session-keyed job records session[warm|cold|batched] in place of its
+// placed claim (a placed map-parked event may still precede it), and
+// failed replaces done on any error. Detail strings (Event.Detail)
+// qualify a stage: placed carries hit/miss/map-parked, session carries
+// warm/cold/batched.
 type Stage uint8
 
 const (
 	// StageSubmit marks the job entering Submit (validation passed).
 	StageSubmit Stage = iota
-	// StageAdmitted marks the job past admission control (queued or
-	// handed to a session goroutine).
+	// StageAdmitted marks the job past admission control (queued).
 	StageAdmitted
 	// StagePlaced marks a dispatcher placement claim. Detail: "hit"
 	// (hits-first cached placement), "miss" (ranked placement), or
 	// "map-parked" (parked on an async mapping; a later placed event
 	// records the eventual claim).
 	StagePlaced
-	// StageSession marks a session-path resolution. Detail: "warm"
-	// (leased an idle resident vNPU), "cold" (created one), "batched"
-	// (joined a busy session's micro-queue).
+	// StageSession marks a session-keyed job's placement claim, in place
+	// of StagePlaced. Detail: "warm" (leased an idle resident vNPU),
+	// "cold" (created one), "batched" (attached to a busy session, to
+	// run after its current job).
 	StageSession
 	// StageExecuting marks the job starting on its chip.
 	StageExecuting

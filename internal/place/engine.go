@@ -733,6 +733,12 @@ func (e *Engine) mapAsync(req Request, speculative bool) <-chan struct{} {
 		if req.MemoryBytes > cs.profile.MemoryBytes {
 			continue
 		}
+		// Answered without a mapper: a chip with no free core maps
+		// nothing, and parking a job on that would only let younger jobs
+		// pass it for nothing.
+		if cs.freeCount == 0 {
+			continue
+		}
 		if ent, ok := e.cache.get(e.keyLocked(cs, req, sig)); ok {
 			if ent.err != nil || cs.allFreeLocked(ent.nodes) {
 				continue // answered (result or memoized error)

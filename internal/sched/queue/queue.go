@@ -1,8 +1,8 @@
-// Package queue implements the admission-ordering core shared by both
-// serving paths of the cluster: a multi-class priority queue with
-// earliest-deadline-first ordering within a class, FIFO sequence tickets
-// as the final tie-break, and round-based aging so sustained
-// high-priority load can never starve admitted low-priority work.
+// Package queue implements the dispatcher's admission-ordering core: a
+// multi-class priority queue with earliest-deadline-first ordering
+// within a class, FIFO sequence numbers as the final tie-break, and
+// round-based aging so sustained high-priority load can never starve
+// admitted low-priority work.
 //
 // The queue replaces the dispatcher's strict-FIFO channel. Ordering is
 // three-level lexicographic:
@@ -18,10 +18,8 @@
 //  2. deadline — within a class, the item with the earliest deadline
 //     pops first (EDF); items without a deadline order after every item
 //     that has one.
-//  3. sequence — admission order. Sequence tickets are issued by the
-//     caller from one counter shared with the session serving path, so
-//     "older" is well defined across both paths (see
-//     Dispatcher.WaitTurn).
+//  3. sequence — admission order, from sequence numbers the caller
+//     issues.
 //
 // The queue itself is not goroutine-safe; the dispatcher guards it with
 // its own mutex.
@@ -377,20 +375,4 @@ func (q *Queue[T]) Remove(it *Item[T]) bool {
 	heap.Remove(&q.buckets[it.bucket], it.idx)
 	q.size--
 	return true
-}
-
-// HasOlderAtOrAbove reports whether any queued item is both older than
-// the given sequence ticket and of equal-or-higher effective class —
-// the condition under which an external (session-path) job holding that
-// ticket must wait its turn instead of outrunning queued work.
-func (q *Queue[T]) HasOlderAtOrAbove(seq uint64, class int) bool {
-	class = q.clamp(class)
-	for b := q.cfg.Classes - 1; b >= class; b-- {
-		for _, it := range q.buckets[b] {
-			if it.Seq < seq {
-				return true
-			}
-		}
-	}
-	return false
 }

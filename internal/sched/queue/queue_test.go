@@ -170,37 +170,6 @@ func TestAgingPropertyRandomized(t *testing.T) {
 	}
 }
 
-func TestHasOlderAtOrAbove(t *testing.T) {
-	q := New[int](Config{Classes: 3, AgingRounds: -1})
-	q.Push(0, 1, time.Time{}, 5)
-	if !q.HasOlderAtOrAbove(9, 1) {
-		t.Fatal("older same-class item must block")
-	}
-	if !q.HasOlderAtOrAbove(9, 0) {
-		t.Fatal("older higher-class item must block a lower-class ticket")
-	}
-	if q.HasOlderAtOrAbove(9, 2) {
-		t.Fatal("higher-class ticket must not be blocked by a lower class")
-	}
-	if q.HasOlderAtOrAbove(3, 1) {
-		t.Fatal("a newer queued item must not block an older ticket")
-	}
-	// Promotion raises the effective class and can start blocking
-	// tickets it previously did not.
-	q2 := New[int](Config{Classes: 2, AgingRounds: 1})
-	q2.Push(0, 0, time.Time{}, 0)
-	if q2.HasOlderAtOrAbove(2, 1) {
-		t.Fatal("class-0 item must not block a class-1 ticket yet")
-	}
-	q2.Push(1, 1, time.Time{}, 1)
-	if _, ok := q2.Pop(); !ok { // pops seq 1; ages seq 0 into class 1
-		t.Fatal("pop failed")
-	}
-	if !q2.HasOlderAtOrAbove(2, 1) {
-		t.Fatal("aged item must now block the class-1 ticket")
-	}
-}
-
 func TestBestClass(t *testing.T) {
 	q := New[int](Config{Classes: 3, AgingRounds: -1})
 	if _, ok := q.BestClass(); ok {

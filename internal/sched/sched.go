@@ -20,12 +20,12 @@
 //	Submit ──quota+queue check──▶ class queue ──dispatcher──▶ Place(best chip)
 //	        ──worker[chip]──▶ Execute ──▶ Release ──▶ Handle resolves
 //
-// Ordering is owned by one scheduler core for BOTH serving paths: the
-// dispatcher's own queue pops highest-class first (EDF inside a class,
-// admission order last), and external paths — the cluster's session
-// pool — draw sequence tickets from the same counter and block in
-// WaitTurn until no older queued job of equal-or-higher class remains,
-// so warm-hit traffic can no longer outrun queued one-shot work.
+// Every job takes this one path: the queue pops highest-class first (EDF
+// inside a class, admission order last), and the executor's Rank and
+// Place decide what a placement is — for the cluster, a fresh vNPU, or a
+// resident session it already holds (a warm lease or an attach to a busy
+// session, offered as a Resident candidate). A job that needs no fresh
+// capacity therefore still waits its turn in the queue like any other.
 //
 // Queued work is preemptible: a higher-class arrival displaces a job
 // parked on backpressure back into the queue (it keeps its ticket, not
@@ -93,9 +93,16 @@ func (s Score) less(o Score) bool {
 }
 
 // Candidate is one chip a job could be placed on, with its score.
+// Resident marks a candidate served by resources the executor already
+// holds on the chip (the cluster's resident sessions) instead of free
+// capacity. Backfill never takes a resident candidate: it exists to hand
+// capacity the parked head cannot use to a job that fits it, and a
+// placement that needs no capacity would only let the job overtake the
+// head.
 type Candidate struct {
-	Chip  int
-	Score Score
+	Chip     int
+	Score    Score
+	Resident bool
 }
 
 // Executor abstracts the chips the dispatcher schedules over. All methods
@@ -128,22 +135,14 @@ type Config struct {
 	// its class before being promoted one class (the starvation bound).
 	// 0 selects queue.DefaultAgingRounds; < 0 disables aging.
 	AgingRounds int
-	// TenantQuota caps each tenant's in-flight jobs (queued + running),
-	// including slots reserved by external serving paths via ReserveSlot.
+	// TenantQuota caps each tenant's in-flight jobs (queued + running).
 	// <= 0 means unlimited. A canceled job's slot is reclaimed when the
 	// job drains from the queue, not at cancellation time.
 	TenantQuota int
-	// ExternalBusy, when non-nil, reports whether work is in flight on an
-	// external path sharing the chips (e.g. busy resident sessions). An
-	// unplaceable job then parks for a Kick instead of failing terminally
-	// on an "idle" cluster whose capacity is merely held elsewhere. The
-	// external path MUST call Kick whenever it frees capacity, or parked
-	// jobs would wait forever.
-	ExternalBusy func() bool
-	// Reclaim, when non-nil, asks the external path to give capacity
-	// back (e.g. evict one idle resident session — lowest class first,
-	// so high-priority cold jobs preempt low-priority warm residency),
-	// returning whether it freed anything. The dispatcher calls it after
+	// Reclaim, when non-nil, asks the executor to give capacity held
+	// outside placements back (e.g. evict one idle resident session —
+	// lowest class first, so high-priority cold jobs preempt low-priority
+	// warm residency), returning whether it freed anything. The dispatcher calls it after
 	// every ranked Place attempt failed — covering failures the ranking
 	// stage cannot see, like memory exhaustion at create time — and
 	// rescores on success, so idle warm pools are reclaimed before a job
@@ -208,16 +207,13 @@ type Stats struct {
 	// steal re-books them on the destination), so per-shard accounting
 	// still balances.
 	Stolen uint64
-	// PerClass breaks the serving counters down by priority class,
-	// covering BOTH serving paths (the session pool reports into the
-	// same accounting via ExternalSubmitted/ExternalDone), with p50/p99
-	// queueing-latency percentiles over a bounded recent window.
+	// PerClass breaks the serving counters down by priority class, with
+	// p50/p99 queueing-latency percentiles over a bounded recent window.
 	PerClass []metrics.SchedClassStats
 }
 
 // Handle tracks one submitted job. Dispatcher.Submit returns handles it
-// resolves itself; NewHandle creates one resolved by the caller (the
-// session-pool serving path), so both paths hand callers the same type.
+// resolves itself; a Stolen job's handle is resolved by the thief.
 type Handle[Result any] struct {
 	tenant    string
 	class     int
@@ -235,17 +231,9 @@ type Handle[Result any] struct {
 	err      error
 }
 
-// NewHandle creates a handle managed by the caller instead of a
-// dispatcher: the caller must call MarkStarted when the job reaches its
-// chip (optional) and Finish exactly once when it completes. The session
-// pool uses it so warm-path jobs that never enter the dispatcher queue
-// still resolve through the ordinary Handle API. The handle's timestamps
-// (submit, placement, finish) are read from clk; nil selects the wall
-// clock.
-func NewHandle[Result any](clk sim.Clock, tenant string, class int) *Handle[Result] {
-	if clk == nil {
-		clk = sim.Wall()
-	}
+// newHandle creates the handle of a job submitted now. Its timestamps
+// (submit, placement, finish) are read from clk.
+func newHandle[Result any](clk sim.Clock, tenant string, class int) *Handle[Result] {
 	return &Handle[Result]{
 		tenant:    tenant,
 		class:     class,
@@ -257,16 +245,16 @@ func NewHandle[Result any](clk sim.Clock, tenant string, class int) *Handle[Resu
 	}
 }
 
-// MarkStarted records that the job reached its chip and closes Started.
-// It must be called at most once, before Finish.
-func (h *Handle[Result]) MarkStarted(chip int) {
+// markStarted records that the job reached its chip and closes Started.
+func (h *Handle[Result]) markStarted(chip int) {
 	h.chip = chip
 	h.placedAt = h.clk.Now()
 	close(h.started)
 }
 
-// Finish resolves the handle with the job's outcome. It must be called
-// exactly once.
+// Finish resolves the handle with the job's outcome. The dispatcher
+// calls it for its own jobs; a thief calls it at most once for a Stolen
+// job it does not Adopt.
 func (h *Handle[Result]) Finish(res Result, err error) {
 	h.res = res
 	h.err = err
@@ -355,27 +343,10 @@ type placed[Job, Placement, Result any] struct {
 	pl Placement
 }
 
-// ticket is the admission-order identity of the job the dispatcher is
-// currently trying to place (popped from the queue but not yet on a
-// chip). External WaitTurn callers treat it as still queued — a job
-// awaiting capacity has not had its turn.
-type ticket struct {
-	seq   uint64
-	class int
-}
-
-// turnWaiter is one external job blocked in WaitTurn.
-type turnWaiter struct {
-	seq   uint64
-	class int
-	ch    chan struct{}
-}
-
 // classState is one priority class's counters and per-stage latency
 // histograms: queue wait (submit → placed), execution, and end-to-end
-// sojourn. Histograms come from Config.StageHist when set, so both
-// serving paths and the embedder's registry share one series per
-// (stage, class).
+// sojourn. Histograms come from Config.StageHist when set, so the
+// embedder's registry holds one series per (stage, class).
 type classState struct {
 	stats metrics.SchedClassStats
 	waits *obs.Histogram // stage "queue"
@@ -404,17 +375,19 @@ type Dispatcher[Job, Placement, Result any] struct {
 	stats    Stats
 	q        *queue.Queue[*task[Job, Result]]
 	seq      uint64
-	parked   *ticket
-	waiters  map[*turnWaiter]struct{}
-	classes  []classState
+	// admitting counts admitted jobs not yet queued (see admit); they
+	// count against the queue depth.
+	admitting int
+	// parked is the job the dispatcher is placing: popped from the queue
+	// but not yet on a chip.
+	parked  *queue.Item[*task[Job, Result]]
+	classes []classState
 	// mapWaits holds every job parked on an async mapping edge, from
-	// parkForMapping until its re-dispatch claims the parked ticket. The
-	// set keeps those jobs visible to the external fairness gate
-	// (blockedLocked) — a session job must not overtake an older
-	// equal-class job just because its mapping is computing — and keeps
-	// the dispatch loop alive across Close until they drain. mapReady is
-	// the subset whose mapping (or cancellation/deadline) has landed,
-	// queued for re-dispatch ahead of the queue.
+	// parkForMapping until its re-dispatch pops it. Pending counts them,
+	// and they keep the dispatch loop alive across Close until they
+	// drain. mapReady is the subset whose mapping (or
+	// cancellation/deadline) has landed, queued for re-dispatch ahead of
+	// the queue.
 	mapWaits map[*queue.Item[*task[Job, Result]]]struct{}
 	mapReady []*queue.Item[*task[Job, Result]]
 	// prewarm, when set (SetPrewarm), is called with the next few queued
@@ -454,7 +427,6 @@ func New[Job, Placement, Result any](exec Executor[Job, Placement, Result], cfg 
 		preempt:        make(chan struct{}, 1),
 		tenants:        make(map[string]int),
 		q:              queue.New[*task[Job, Result]](queue.Config{Classes: cfg.Classes, AgingRounds: cfg.AgingRounds}),
-		waiters:        make(map[*turnWaiter]struct{}),
 		mapWaits:       make(map[*queue.Item[*task[Job, Result]]]struct{}),
 		classes:        make([]classState, cfg.Classes),
 		dispatcherDone: make(chan struct{}),
@@ -515,6 +487,23 @@ func (d *Dispatcher[Job, Placement, Result]) clampClass(class int) int {
 // ErrQueueFull, ErrQuotaExceeded, ErrDeadlineExceeded (deadline already
 // passed) or ErrDestroyed when the job was not admitted.
 func (d *Dispatcher[Job, Placement, Result]) Submit(ctx context.Context, tenant string, class int, deadline time.Time, job Job) (*Handle[Result], error) {
+	return d.admit(ctx, tenant, class, deadline, job, nil)
+}
+
+// Adopt admits a job stolen from another dispatcher under its original
+// handle, which then resolves here like any job submitted to d.
+// Admission control is Submit's; when it refuses the job, Adopt returns
+// the error and leaves the handle to the caller.
+func (d *Dispatcher[Job, Placement, Result]) Adopt(st Stolen[Job, Result]) error {
+	_, err := d.admit(st.Ctx, st.Tenant, st.Class, st.Deadline, st.Job, st.Handle)
+	return err
+}
+
+// admit is Submit and Adopt: it enqueues the job under h, or under a new
+// handle when h is nil. Admission is decided and booked first; the
+// admitted callback runs outside the lock but before the job is queued,
+// so it is recorded ahead of every later stage of the job.
+func (d *Dispatcher[Job, Placement, Result]) admit(ctx context.Context, tenant string, class int, deadline time.Time, job Job, h *Handle[Result]) (*Handle[Result], error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -536,24 +525,34 @@ func (d *Dispatcher[Job, Placement, Result]) Submit(ctx context.Context, tenant 
 		return nil, fmt.Errorf("sched: tenant %q has %d jobs in flight (quota %d): %w",
 			tenant, n, d.cfg.TenantQuota, core.ErrQuotaExceeded)
 	}
-	if d.q.Len() >= d.cfg.QueueDepth {
+	if d.q.Len()+d.admitting >= d.cfg.QueueDepth {
 		d.stats.RejectedQueueFull++
 		d.mu.Unlock()
 		return nil, fmt.Errorf("sched: queue of %d jobs is full: %w", d.cfg.QueueDepth, core.ErrQueueFull)
 	}
-	h := NewHandle[Result](d.cfg.Clock, tenant, class)
+	if h == nil {
+		h = newHandle[Result](d.cfg.Clock, tenant, class)
+	}
 	t := &task[Job, Result]{ctx: ctx, job: job, deadline: deadline, h: h}
 	seq := d.seq
 	d.seq++
-	it := d.q.Push(t, class, deadline, seq)
 	d.tenants[tenant]++
 	d.stats.Submitted++
 	d.classes[class].stats.Submitted++
+	d.admitting++
+	observer := d.observer
+	d.mu.Unlock()
+	if observer != nil {
+		observer(job, obs.StageAdmitted, "", -1)
+	}
+	d.mu.Lock()
+	d.admitting--
+	it := d.q.Push(t, class, deadline, seq)
 	// An arrival that may order before the job currently parked on
 	// backpressure — higher class, or equal class with a better deadline
 	// — pokes its placement loop; yield() re-checks under the full
 	// ordering before actually displacing.
-	if d.parked != nil && it.Bucket() >= d.parked.class {
+	if d.parked != nil && it.Bucket() >= d.parked.Bucket() {
 		select {
 		case d.preempt <- struct{}{}:
 		default:
@@ -564,9 +563,6 @@ func (d *Dispatcher[Job, Placement, Result]) Submit(ctx context.Context, tenant 
 	default:
 	}
 	d.mu.Unlock()
-	if d.observer != nil {
-		d.observer(job, obs.StageAdmitted, "", -1)
-	}
 	return h, nil
 }
 
@@ -599,16 +595,6 @@ func (d *Dispatcher[Job, Placement, Result]) Backlog(chip int) int {
 	return len(d.work[chip])
 }
 
-// InFlight reports placements currently claimed on chips (placed but
-// not yet released). The session path uses it to decide between parking
-// for capacity and failing terminally, the same judgment the dispatcher
-// makes for its own queue.
-func (d *Dispatcher[Job, Placement, Result]) InFlight() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.inflight
-}
-
 // QueueLen reports jobs currently sitting in the admission queue
 // (admitted, not yet popped for placement).
 func (d *Dispatcher[Job, Placement, Result]) QueueLen() int {
@@ -619,12 +605,11 @@ func (d *Dispatcher[Job, Placement, Result]) QueueLen() int {
 
 // Pending reports every job the dispatcher still owns: queued, parked on
 // a mapping edge, parked on capacity, or placed but not yet released. A
-// draining shard is quiescent when Pending reaches zero (session-path
-// work is tracked separately by the cluster).
+// draining shard is quiescent when Pending reaches zero.
 func (d *Dispatcher[Job, Placement, Result]) Pending() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := d.q.Len() + len(d.mapWaits) + d.inflight
+	n := d.q.Len() + d.admitting + len(d.mapWaits) + d.inflight
 	if d.parked != nil {
 		n++
 	}
@@ -634,8 +619,8 @@ func (d *Dispatcher[Job, Placement, Result]) Pending() int {
 // Stolen is one queued job removed by Steal: everything the thief needs
 // to resubmit the work elsewhere, plus the original Handle so the
 // caller's Wait still resolves. The thief owns the handle's lifecycle
-// now — it must eventually call Finish (directly or by forwarding
-// another handle's outcome) exactly once.
+// now: it must either Adopt the job into another dispatcher, which then
+// resolves the handle, or call Finish exactly once.
 type Stolen[Job, Result any] struct {
 	Job      Job
 	Ctx      context.Context
@@ -649,10 +634,11 @@ type Stolen[Job, Result any] struct {
 // below maxClass and hands them to the caller — the fleet's work-stealing
 // hook. Victims are taken from the back of the pop order (the work that
 // would wait longest here), never the head the dispatcher is placing,
-// never map-parked jobs (their mapping is this shard's sunk cost). Each
-// stolen job's quota slot is released and its admission is un-booked, so
-// shard-level accounting balances when the destination re-books it.
-func (d *Dispatcher[Job, Placement, Result]) Steal(maxClass, max int) []Stolen[Job, Result] {
+// never map-parked jobs (their mapping is this shard's sunk cost), and
+// never jobs pinned reports (nil pins none). Each stolen job's quota slot
+// is released and its admission is un-booked, so shard-level accounting
+// balances when the destination re-books it.
+func (d *Dispatcher[Job, Placement, Result]) Steal(maxClass, max int, pinned func(Job) bool) []Stolen[Job, Result] {
 	if max <= 0 {
 		return nil
 	}
@@ -665,6 +651,9 @@ func (d *Dispatcher[Job, Placement, Result]) Steal(maxClass, max int) []Stolen[J
 			continue
 		}
 		t := it.Job
+		if pinned != nil && pinned(t.job) {
+			continue
+		}
 		// Leave canceled/expired jobs for the dispatcher's own sweeps:
 		// they fail with the right typed error and counters here.
 		if t.ctx.Err() != nil {
@@ -691,9 +680,6 @@ func (d *Dispatcher[Job, Placement, Result]) Steal(maxClass, max int) []Stolen[J
 			Handle:   t.h,
 		})
 	}
-	if len(out) > 0 {
-		d.checkTurnsLocked()
-	}
 	observer := d.observer
 	d.mu.Unlock()
 	// The observer contract is lock-free delivery; emit the forwarded
@@ -704,33 +690,6 @@ func (d *Dispatcher[Job, Placement, Result]) Steal(maxClass, max int) []Stolen[J
 		}
 	}
 	return out
-}
-
-// ReserveSlot atomically checks the tenant quota and claims one
-// in-flight slot for a job served on an external path (the session
-// pool). The dispatcher's own Submit and external reservations share one
-// counter under one lock, so the quota cannot be oversubscribed by
-// racing the two paths. Release the slot with ReleaseSlot when the
-// external job finishes.
-func (d *Dispatcher[Job, Placement, Result]) ReserveSlot(tenant string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cfg.TenantQuota > 0 && d.tenants[tenant] >= d.cfg.TenantQuota {
-		d.stats.RejectedQuota++
-		return fmt.Errorf("sched: tenant %q has %d jobs in flight (quota %d): %w",
-			tenant, d.tenants[tenant], d.cfg.TenantQuota, core.ErrQuotaExceeded)
-	}
-	d.tenants[tenant]++
-	return nil
-}
-
-// ReleaseSlot returns a slot claimed with ReserveSlot.
-func (d *Dispatcher[Job, Placement, Result]) ReleaseSlot(tenant string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.tenants[tenant]--; d.tenants[tenant] <= 0 {
-		delete(d.tenants, tenant)
-	}
 }
 
 // SetPrewarm installs a speculation hook: each time the dispatcher
@@ -749,137 +708,17 @@ func (d *Dispatcher[Job, Placement, Result]) SetPrewarm(fn func(job Job)) {
 // transition the dispatcher owns — admitted (Submit succeeded), placed
 // (detail "hit"/"miss"/"map-parked"), executing, and done/failed. Chip
 // is -1 for off-chip stages. The hook is called outside the dispatcher
-// lock and must be cheap and non-blocking (the obs.Recorder qualifies).
-// Install it before the first Submit.
+// lock, in stage order per job, and must be cheap and non-blocking (the
+// obs.Recorder qualifies). Install it before the first Submit.
 func (d *Dispatcher[Job, Placement, Result]) SetObserver(fn func(job Job, stage obs.Stage, detail string, chip int)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.observer = fn
 }
 
-// Ticket issues an admission sequence ticket from the counter shared
-// with Submit. External serving paths draw one per job at admission time
-// and pass it to WaitTurn, so "older" is well defined across both paths.
-func (d *Dispatcher[Job, Placement, Result]) Ticket() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	seq := d.seq
-	d.seq++
-	return seq
-}
-
-// WaitTurn blocks an external job (holding a Ticket) until the
-// dispatcher's queue holds no older job of equal-or-higher effective
-// class — including the job currently parked awaiting capacity. This is
-// the admission-order fairness gate: a warm session hit must not overtake
-// one-shot work that was admitted before it at the same or higher
-// priority, while higher-class external jobs pass lower-class queued work
-// freely. It returns early when ctx is canceled, or with
-// ErrDeadlineExceeded when the job's scheduling deadline (zero = none)
-// passes while waiting.
-func (d *Dispatcher[Job, Placement, Result]) WaitTurn(ctx context.Context, seq uint64, class int, deadline time.Time) error {
-	var deadlineC <-chan time.Time
-	if !deadline.IsZero() {
-		timer := d.timerUntil(deadline)
-		defer timer.Stop()
-		deadlineC = timer.C()
-	}
-	for {
-		d.mu.Lock()
-		class = d.clampClass(class)
-		if !d.blockedLocked(seq, class) {
-			d.mu.Unlock()
-			return nil
-		}
-		w := &turnWaiter{seq: seq, class: class, ch: make(chan struct{})}
-		d.waiters[w] = struct{}{}
-		d.mu.Unlock()
-		select {
-		case <-w.ch:
-			// Re-check: aging may have promoted another older job into a
-			// blocking class since the wakeup was decided.
-		case <-ctx.Done():
-			d.dropWaiter(w)
-			return fmt.Errorf("sched: job canceled awaiting its admission turn: %w", ctx.Err())
-		case <-deadlineC:
-			d.dropWaiter(w)
-			return fmt.Errorf("sched: deadline passed awaiting admission turn: %w", core.ErrDeadlineExceeded)
-		}
-	}
-}
-
-func (d *Dispatcher[Job, Placement, Result]) dropWaiter(w *turnWaiter) {
-	d.mu.Lock()
-	delete(d.waiters, w)
-	d.mu.Unlock()
-}
-
-// blockedLocked reports whether an external ticket must keep waiting:
-// some older equal-or-higher-class job is still queued or parked.
-// Caller holds d.mu.
-func (d *Dispatcher[Job, Placement, Result]) blockedLocked(seq uint64, class int) bool {
-	if d.parked != nil && d.parked.seq < seq && d.parked.class >= class {
-		return true
-	}
-	for it := range d.mapWaits {
-		if it.Seq < seq && it.Bucket() >= class {
-			return true
-		}
-	}
-	return d.q.HasOlderAtOrAbove(seq, class)
-}
-
-// checkTurnsLocked wakes every external waiter whose blockers have
-// drained. Caller holds d.mu; it must be called whenever a job leaves
-// the queue or the parked slot.
-func (d *Dispatcher[Job, Placement, Result]) checkTurnsLocked() {
-	for w := range d.waiters {
-		if !d.blockedLocked(w.seq, w.class) {
-			close(w.ch)
-			delete(d.waiters, w)
-		}
-	}
-}
-
-// ExternalSubmitted books an external-path admission into the per-class
-// accounting (the session pool calls it next to ReserveSlot).
-func (d *Dispatcher[Job, Placement, Result]) ExternalSubmitted(class int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.classes[d.clampClass(class)].stats.Submitted++
-}
-
-// ExternalDeadlineMiss books an external-path submission rejected
-// because its deadline had already passed — the analogue of Submit's own
-// synchronous rejection, so per-class miss counts stay comparable
-// across both paths.
-func (d *Dispatcher[Job, Placement, Result]) ExternalDeadlineMiss(class int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.classes[d.clampClass(class)].stats.DeadlineMisses++
-}
-
-// ExternalDone books an external-path completion: outcome counters, the
-// deadline-miss counter, and — on success — a queueing-latency sample,
-// so per-class percentiles cover both serving paths.
-func (d *Dispatcher[Job, Placement, Result]) ExternalDone(class int, wait time.Duration, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cs := &d.classes[d.clampClass(class)]
-	if err == nil {
-		cs.stats.Completed++
-		cs.waits.Observe(wait)
-		return
-	}
-	cs.stats.Failed++
-	if errors.Is(err, core.ErrDeadlineExceeded) {
-		cs.stats.DeadlineMisses++
-	}
-}
-
 // Kick signals the dispatcher that capacity was freed outside its own
-// Release path — a resident session went idle or was evicted. A job
-// parked on backpressure rescores its placement. Kick never blocks.
+// Release path — e.g. the executor evicted an idle resident session. A
+// job parked on backpressure rescores its placement. Kick never blocks.
 func (d *Dispatcher[Job, Placement, Result]) Kick() {
 	select {
 	case d.freed <- struct{}{}:
@@ -934,17 +773,16 @@ func (d *Dispatcher[Job, Placement, Result]) dispatch() {
 			it, ok = d.q.Pop()
 		}
 		if ok {
-			d.parked = &ticket{seq: it.Seq, class: it.Bucket()}
+			d.parked = it
 		}
-		d.checkTurnsLocked()
-		closed := d.closed
-		mapsOutstanding := len(d.mapWaits)
+		// Admissions booked before Close still land in the queue.
+		drained := d.closed && len(d.mapWaits) == 0 && d.admitting == 0
 		d.mu.Unlock()
 		for _, e := range expired {
 			d.finishMiss(e.Job)
 		}
 		if !ok {
-			if closed && mapsOutstanding == 0 {
+			if drained {
 				return
 			}
 			<-d.qWake
@@ -986,12 +824,10 @@ func (d *Dispatcher[Job, Placement, Result]) dispatch() {
 // prewarmed per placement.
 const prewarmAhead = 4
 
-// unpark clears the parked ticket and wakes external waiters it was
-// blocking.
+// unpark clears the parked job.
 func (d *Dispatcher[Job, Placement, Result]) unpark() {
 	d.mu.Lock()
 	d.parked = nil
-	d.checkTurnsLocked()
 	d.mu.Unlock()
 }
 
@@ -1048,10 +884,8 @@ type CachedRanker[Job any] interface {
 // Hits-first relaxes the dispatcher's strict pop order for jobs whose
 // mapping is not ready: while a job is map-parked, younger QUEUED jobs
 // may place ahead of it (bounded by mapping latency — the job re-enters
-// ahead of the queue the moment its mapping lands). The external
-// fairness gate is unchanged: a map-parked job still blocks younger
-// session-path work of equal-or-lower class (mapWaits feeds
-// blockedLocked), and capacity parking keeps its ordinary semantics.
+// ahead of the queue the moment its mapping lands). Capacity parking
+// keeps its ordinary semantics.
 type AsyncRanker[Job any] interface {
 	RankHit(job Job) []Candidate
 	RankAsync(job Job) <-chan struct{}
@@ -1070,9 +904,10 @@ type HitObserver[Job any] interface {
 
 // tryClaim ranks the chips and claims the best available one for t,
 // handing it to that chip's worker. head marks the dispatcher's
-// head-of-line attempt, whose parked ticket must clear in the same
-// critical section that claims the placement. It reports false with the
-// last placement error when no chip can host the job right now.
+// head-of-line attempt, whose parked slot clears in the same critical
+// section that claims the placement; head == false is a backfill, which
+// skips Resident candidates. It reports false with the last placement
+// error when no chip can host the job right now.
 func (d *Dispatcher[Job, Placement, Result]) tryClaim(t *task[Job, Result], head bool) (bool, error) {
 	// Ranking is one executor call: the placement engine behind it
 	// scores every chip from its mapping cache (the formerly dominant
@@ -1093,17 +928,23 @@ func (d *Dispatcher[Job, Placement, Result]) tryClaim(t *task[Job, Result], head
 // the claimed candidate is returned so hits-first callers can report its
 // score to the executor (see HitObserver). detail tags the trace event
 // for a successful claim — "hit" for cache-served candidate lists,
-// "miss" for fully ranked ones. It reports the last Place error when
-// every candidate refused.
+// "miss" for fully ranked ones; a head claim tagged "hit" counts as a
+// hits-first start. Backfill (head == false) skips Resident candidates.
+// It reports the last Place error when every candidate refused.
 func (d *Dispatcher[Job, Placement, Result]) claimFrom(cands []Candidate, t *task[Job, Result], head bool, detail string) (Candidate, bool, error) {
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].Score.less(cands[j].Score)
-	})
+	if len(cands) > 1 {
+		sort.SliceStable(cands, func(i, j int) bool {
+			return cands[i].Score.less(cands[j].Score)
+		})
+	}
 	// Try chips in ranked order: Place can fail for reasons a score
 	// cannot see (e.g. memory exhaustion), so fall through to the
 	// next-best chip instead of parking on the first failure.
 	var lastErr error
 	for _, c := range cands {
+		if c.Resident && !head {
+			continue
+		}
 		chip := c.Chip
 		pl, err := d.exec.Place(chip, t.job)
 		if err != nil {
@@ -1114,10 +955,12 @@ func (d *Dispatcher[Job, Placement, Result]) claimFrom(cands []Candidate, t *tas
 		d.inflight++
 		if head {
 			d.parked = nil
-			d.checkTurnsLocked()
+			if detail == "hit" {
+				d.stats.HitsFirst++
+			}
 		}
 		d.mu.Unlock()
-		t.h.MarkStarted(chip)
+		t.h.markStarted(chip)
 		d.recordWait(t.h)
 		if d.observer != nil {
 			d.observer(t.job, obs.StagePlaced, detail, chip)
@@ -1165,9 +1008,9 @@ const (
 // backfillOne places the best-ordered queued job that fits capacity the
 // parked head cannot use. Strict priority order would idle chips
 // whenever the head needs a bigger slot than any chip has free; bounded
-// backfill keeps them busy without giving the jumped job the head's
-// turn (external WaitTurn callers still see the parked head as the
-// oldest blocker). When the executor offers a cached rank, candidates
+// backfill keeps them busy with jobs that fit the free capacity, never
+// with Resident candidates (see Candidate). When the executor offers a
+// cached rank, candidates
 // are only considered if their placement is already computed — backfill
 // is opportunistic and must never stall the dispatcher on mapping work.
 func (d *Dispatcher[Job, Placement, Result]) backfillOne() bool {
@@ -1204,7 +1047,6 @@ func (d *Dispatcher[Job, Placement, Result]) backfillOne() bool {
 		// item is necessarily still queued.
 		d.q.Remove(it)
 		d.classes[it.Bucket()].stats.Backfilled++
-		d.checkTurnsLocked()
 		d.mu.Unlock()
 		return true
 	}
@@ -1220,12 +1062,7 @@ func (d *Dispatcher[Job, Placement, Result]) parkForMapping(t *task[Job, Result]
 	d.mu.Lock()
 	d.mapWaits[it] = struct{}{}
 	d.stats.MapParked++
-	// The parked ticket clears, but the job stays visible to the external
-	// fairness gate through mapWaits — younger session-path work cannot
-	// overtake it while its mapping computes; only the dispatcher's own
-	// queue keeps flowing.
 	d.parked = nil
-	d.checkTurnsLocked()
 	d.mu.Unlock()
 	if d.observer != nil {
 		d.observer(t.job, obs.StagePlaced, "map-parked", -1)
@@ -1256,7 +1093,7 @@ func (d *Dispatcher[Job, Placement, Result]) parkForMapping(t *task[Job, Result]
 // when the executor supports it: a cached placement within the regret
 // bound starts immediately, a mapping miss parks the job on the async
 // mappers' mapReady edge (the dispatch loop moves on). When no chip can
-// host it, it reclaims external capacity, backfills smaller queued
+// host it, it reclaims the executor's idle capacity, backfills smaller queued
 // jobs into holes the head cannot use, and parks until a release —
 // unless a better-ordered arrival displaces the job back into the
 // queue, or its deadline passes first; with nothing in flight the
@@ -1274,9 +1111,6 @@ func (d *Dispatcher[Job, Placement, Result]) place(t *task[Job, Result], it *que
 		if hitsFirst {
 			if cands := ar.RankHit(t.job); len(cands) > 0 {
 				if won, ok, _ := d.claimFrom(cands, t, true, "hit"); ok {
-					d.mu.Lock()
-					d.stats.HitsFirst++
-					d.mu.Unlock()
 					if ho, obs := d.exec.(HitObserver[Job]); obs {
 						ho.ObserveHit(t.job, won.Score.Cost)
 					}
@@ -1293,7 +1127,7 @@ func (d *Dispatcher[Job, Placement, Result]) place(t *task[Job, Result], it *que
 			return
 		}
 		// No chip can host the job right now. Before parking (or failing),
-		// ask the external path to give capacity back: Place-stage
+		// ask the executor to give idle capacity back: Place-stage
 		// failures — e.g. the buddy allocator out of memory held by an
 		// idle warm session — never reach the ranking stage's own
 		// reclaim, so this is where idle sessions are evicted for them
@@ -1320,13 +1154,6 @@ func (d *Dispatcher[Job, Placement, Result]) place(t *task[Job, Result], it *que
 		// queued deadline for this wait.
 		queueDl, queueDlArmed := d.q.NextDeadline()
 		d.mu.Unlock()
-		// Busy resident sessions hold capacity this dispatcher cannot see
-		// in its own in-flight count; their release Kicks the freed
-		// channel, so parking is safe and terminal failure would be
-		// premature.
-		if idle && d.cfg.ExternalBusy != nil && d.cfg.ExternalBusy() {
-			idle = false
-		}
 		if idle {
 			// A release may have landed between scoring and the idle
 			// check; drain its pending signal and rescore once more
@@ -1369,7 +1196,6 @@ func (d *Dispatcher[Job, Placement, Result]) place(t *task[Job, Result], it *que
 			// keep trying to place the head.
 			d.mu.Lock()
 			expired := d.q.PopExpired(d.now())
-			d.checkTurnsLocked()
 			d.mu.Unlock()
 			for _, e := range expired {
 				d.finishMiss(e.Job)

@@ -14,15 +14,18 @@ import (
 // fakeJob drives the fake executor: size is the capacity it claims;
 // costs, prices and loads (optional) fix the per-chip placement score;
 // block (optional) parks Execute until closed; fail makes Execute return
-// an error; name labels the job in the executor's order log.
+// an error; name labels the job in the executor's order log; resident
+// jobs are offered chip 0 as a Resident candidate that claims no
+// capacity.
 type fakeJob struct {
-	name   string
-	size   int
-	costs  []float64
-	prices []float64
-	loads  []float64
-	block  chan struct{}
-	fail   error
+	name     string
+	size     int
+	resident bool
+	costs    []float64
+	prices   []float64
+	loads    []float64
+	block    chan struct{}
+	fail     error
 }
 
 // fakeExec models chips as integer capacity pools. placeFail forces Place
@@ -49,6 +52,9 @@ func (e *fakeExec) avail(chip, size int) error {
 }
 
 func (e *fakeExec) Rank(j *fakeJob) ([]Candidate, error) {
+	if j.resident {
+		return []Candidate{{Chip: 0, Resident: true}}, nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var cands []Candidate
@@ -81,6 +87,9 @@ func (e *fakeExec) Place(chip int, j *fakeJob) (int, error) {
 	defer e.mu.Unlock()
 	if err, ok := e.placeFail[chip]; ok {
 		return 0, err
+	}
+	if j.resident {
+		return 0, nil
 	}
 	if err := e.avail(chip, j.size); err != nil {
 		return 0, err
@@ -542,85 +551,6 @@ func TestDeadlineFailsFast(t *testing.T) {
 	}
 }
 
-// TestWaitTurnBlocksBehindOlderQueuedWork: an external ticket holder may
-// not proceed while an older equal-class dispatcher job is queued or
-// parked, unblocks once it places, and passes lower-class queued work
-// immediately.
-func TestWaitTurnBlocksBehindOlderQueuedWork(t *testing.T) {
-	exec := &fakeExec{free: []int{1}}
-	d := newTestDispatcher(t, exec, Config{Chips: 1})
-	defer d.Close()
-
-	gate := make(chan struct{})
-	blocker, err := d.Submit(context.Background(), "a", 1, time.Time{}, &fakeJob{size: 1, block: gate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-blocker.Started()
-	queued, err := d.Submit(context.Background(), "a", 1, time.Time{}, &fakeJob{size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Equal class, newer ticket: must wait for the queued job.
-	seq := d.Ticket()
-	turn := make(chan error, 1)
-	go func() { turn <- d.WaitTurn(context.Background(), seq, 1, time.Time{}) }()
-	select {
-	case err := <-turn:
-		t.Fatalf("WaitTurn returned early: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	// Higher class passes queued lower-class work without waiting.
-	if err := d.WaitTurn(context.Background(), d.Ticket(), 3, time.Time{}); err != nil {
-		t.Fatalf("high-class WaitTurn: %v", err)
-	}
-
-	close(gate)
-	if _, err := queued.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-turn:
-		if err != nil {
-			t.Fatalf("WaitTurn after drain: %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("WaitTurn never unblocked after the older job placed")
-	}
-	if _, err := blocker.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Cancellation abandons the wait with the context error.
-	gate2 := make(chan struct{})
-	b2, err := d.Submit(context.Background(), "a", 1, time.Time{}, &fakeJob{size: 1, block: gate2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-b2.Started()
-	q2, err := d.Submit(context.Background(), "a", 1, time.Time{}, &fakeJob{size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	if err := d.WaitTurn(ctx, d.Ticket(), 1, time.Time{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled WaitTurn: got %v, want context.Canceled", err)
-	}
-	close(gate2)
-	if _, err := b2.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q2.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAgingBoundsStarvation is the no-unbounded-starvation property at
 // the dispatcher level: under a backlog of sustained top-class load, an
 // admitted bottom-class job still executes within the aging bound's
@@ -721,5 +651,53 @@ func TestQueuedDeadlineFiresWhileHeadParked(t *testing.T) {
 	}
 	if _, err := head.Wait(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBackfillSkipsResidentCandidates: backfill hands capacity the
+// parked head cannot use to a queued job that fits it, but never places
+// a job on a Resident candidate — that needs no capacity and would only
+// let the job overtake the head.
+func TestBackfillSkipsResidentCandidates(t *testing.T) {
+	exec := &fakeExec{free: []int{2}}
+	d := newTestDispatcher(t, exec, Config{Chips: 1, ChipSlots: 2})
+	defer d.Close()
+
+	block := make(chan struct{})
+	blocker, err := d.Submit(context.Background(), "a", 1, time.Time{}, &fakeJob{name: "blocker", size: 1, block: block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-blocker.Started()
+	var hs []*Handle[string]
+	for _, j := range []*fakeJob{
+		{name: "head", size: 2},
+		{name: "resident", resident: true},
+		{name: "small", size: 1},
+	} {
+		h, err := d.Submit(context.Background(), "a", 1, time.Time{}, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	resident, small := hs[1], hs[2]
+	if _, err := small.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-resident.Started():
+		close(block) // let the deferred Close drain
+		t.Fatal("backfill placed a resident candidate past the parked head")
+	case <-time.After(30 * time.Millisecond):
+	}
+	close(block)
+	for _, h := range hs {
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := d.Stats(); s.PerClass[1].Backfilled != 1 {
+		t.Fatalf("backfilled %d jobs, want 1 (small)", s.PerClass[1].Backfilled)
 	}
 }

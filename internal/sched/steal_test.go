@@ -44,7 +44,7 @@ func TestStealTakesBackOfPopOrder(t *testing.T) {
 		t.Fatalf("4th submit for tenant a: got %v, want ErrQuotaExceeded", err)
 	}
 
-	stolen := d.Steal(0, 10)
+	stolen := d.Steal(0, 10, nil)
 	if len(stolen) != 2 {
 		t.Fatalf("stole %d jobs, want the 2 best-effort ones", len(stolen))
 	}
@@ -97,7 +97,7 @@ func TestStealRespectsClassBoundAndEmptyQueue(t *testing.T) {
 	d := newTestDispatcher(t, exec, Config{Chips: 1, Classes: 2})
 	defer d.Close()
 
-	if got := d.Steal(1, 10); len(got) != 0 {
+	if got := d.Steal(1, 10, nil); len(got) != 0 {
 		t.Fatalf("stole %d from an empty queue", len(got))
 	}
 
@@ -111,7 +111,7 @@ func TestStealRespectsClassBoundAndEmptyQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Steal(0, 10); len(got) != 0 {
+	if got := d.Steal(0, 10, nil); len(got) != 0 {
 		t.Fatalf("stole %d class-1 jobs under a class-0 bound", len(got))
 	}
 	close(block)
@@ -120,5 +120,39 @@ func TestStealRespectsClassBoundAndEmptyQueue(t *testing.T) {
 	}
 	if _, err := queued.Wait(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStealSkipsPinnedJobs: jobs the pinned predicate reports stay
+// queued on their dispatcher.
+func TestStealSkipsPinnedJobs(t *testing.T) {
+	exec := &fakeExec{free: []int{1}}
+	d := newTestDispatcher(t, exec, Config{Chips: 1})
+	defer d.Close()
+
+	block := make(chan struct{})
+	blocker, err := d.Submit(context.Background(), "a", 0, time.Time{}, &fakeJob{name: "blocker", size: 1, block: block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-blocker.Started()
+	pinned, err := d.Submit(context.Background(), "a", 0, time.Time{}, &fakeJob{name: "pinned", size: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loose, err := d.Submit(context.Background(), "a", 0, time.Time{}, &fakeJob{name: "loose", size: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stolen := d.Steal(0, 10, func(j *fakeJob) bool { return j.name == "pinned" })
+	if len(stolen) != 1 || stolen[0].Job.name != "loose" {
+		t.Fatalf("stole %d jobs, want only the unpinned one", len(stolen))
+	}
+	stolen[0].Handle.Finish("elsewhere", nil)
+	close(block)
+	for _, h := range []*Handle[string]{blocker, pinned, loose} {
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -1,35 +1,39 @@
-// Package session implements the resident-vNPU lease pool behind the
-// cluster's serving path: instead of paying create→map→run→destroy for
-// every job, jobs of one (tenant, model fingerprint, topology class)
-// lease a warm resident vNPU when one is idle, skipping placement and
-// creation entirely — the reuse lever the paper's fast create/destroy
-// makes cheap to build but does not give by itself (steady-state
-// occupancy, not create speed, decides serving throughput).
+// Package session implements the resident-vNPU pool behind the
+// cluster's session-keyed jobs: instead of paying create→map→run→destroy
+// for every job, jobs of one (tenant, model fingerprint, topology class)
+// run on a resident vNPU, skipping placement, creation and compilation —
+// the reuse lever the paper's fast create/destroy makes cheap to build
+// but does not give by itself (steady-state occupancy, not create speed,
+// decides serving throughput).
 //
-// Three mechanisms shape the pool:
+// The pool makes no scheduling decision of its own. The cluster's
+// dispatcher offers a pooled session as one more placement candidate
+// (Offer), claims it when it places the job (Acquire) or registers the
+// vNPU it created instead (Add), and drops the job's hold when the job's
+// execution ends (Lease.Release). Three mechanisms shape the pool:
 //
-//   - Leases: Acquire returns a warm idle session for the key when one
-//     exists, otherwise runs the caller's cold-create closure. Release
-//     (via Lease.Next) returns the session to the idle pool with a TTL;
-//     a janitor destroys sessions idle past it, and an LRU bound caps
-//     how much capacity warm sessions may hold.
-//   - Pressure eviction: when a cold create — or any placement outside
-//     the pool — fails for lack of capacity, idle sessions are evicted
-//     lowest-scheduling-class first (LRU within a class) to hand their
-//     cores back, so warm pools never starve jobs that need fresh
-//     rectangles and low-priority residency is preempted before
-//     high-priority pools are touched.
-//   - Continuous batching: each busy session carries a bounded
-//     micro-queue. Attach appends a compatible job (same key — same
-//     tenant, model and topology) to a busy session; the holder drains
-//     the queue back-to-back on the resident vNPU before releasing, so
-//     bursts of small decode-phase jobs share one placement, one create
-//     and one compile.
+//   - Warm leases: Acquire claims an idle session of the key. The last
+//     Release returns the session to the idle pool with a TTL; a janitor
+//     destroys sessions idle past it, and an LRU bound caps how much
+//     capacity warm sessions may hold.
+//   - Attach (continuous batching): with no idle session of the key,
+//     Acquire claims a busy one whose attached jobs number fewer than
+//     AttachDepth. The job runs after the session's current one on the
+//     same resident vNPU, and the session stays busy until the last of
+//     its holds is released.
+//   - Pressure eviction: EvictIdle destroys idle sessions
+//     lowest-scheduling-class first (LRU within a class) when a
+//     placement fails for lack of capacity, so warm pools never starve
+//     jobs that need fresh rectangles and low-priority residency is
+//     preempted before high-priority pools are touched.
+//
+// A holder whose execution left the resource suspect marks the session
+// with Lease.Fail; it is destroyed at its last release instead of being
+// pooled.
 //
 // The pool is generic over the resource (R, the cluster's resident vNPU
-// wrapper) and the micro-queue item (Q, the cluster's job task), keeping
-// it independent of the virtualization layer like internal/sched. All
-// methods are safe for concurrent use.
+// wrapper), keeping it independent of the virtualization layer like
+// internal/sched. All methods are safe for concurrent use.
 package session
 
 import (
@@ -63,8 +67,8 @@ const (
 	DefaultMaxIdle = 64
 	// DefaultTTL is the idle time after which a session is destroyed.
 	DefaultTTL = time.Second
-	// DefaultMicroQueueDepth bounds each busy session's micro-queue.
-	DefaultMicroQueueDepth = 16
+	// DefaultAttachDepth bounds the jobs attached to one busy session.
+	DefaultAttachDepth = 16
 )
 
 // Config tunes a Pool.
@@ -82,10 +86,6 @@ type Config[R any] struct {
 	// low-priority warm residency before touching high-priority pools.
 	// Optional; nil treats every session as class 0 (pure LRU).
 	Priority func(res R) int
-	// IsCapacity classifies cold-create errors that evicting idle
-	// sessions may cure (the cluster uses ErrNoCapacity and
-	// ErrTopologyUnsatisfiable). Nil means no error is curable.
-	IsCapacity func(error) bool
 	// MaxIdle bounds idle sessions pool-wide; beyond it the
 	// least-recently-used idle session is destroyed. <= 0 selects
 	// DefaultMaxIdle.
@@ -93,9 +93,10 @@ type Config[R any] struct {
 	// TTL is how long a session may sit idle before the janitor destroys
 	// it. <= 0 selects DefaultTTL.
 	TTL time.Duration
-	// MicroQueueDepth bounds each busy session's micro-queue. <= 0
-	// selects DefaultMicroQueueDepth.
-	MicroQueueDepth int
+	// AttachDepth bounds how many jobs may be attached to one busy
+	// session beyond the one it is running. <= 0 selects
+	// DefaultAttachDepth.
+	AttachDepth int
 	// Clock supplies time to the TTL bookkeeping AND the janitor's tick
 	// timer: with a sim.VirtualClock injected, idle sessions expire only
 	// as virtual time advances. Nil uses the wall clock.
@@ -112,15 +113,8 @@ type Config[R any] struct {
 	OnFree func()
 }
 
-type sessState uint8
-
-const (
-	stateBusy sessState = iota
-	stateIdle
-)
-
 // sess is one resident session.
-type sess[R, Q any] struct {
+type sess[R any] struct {
 	key   Key
 	chip  int
 	res   R
@@ -128,9 +122,12 @@ type sess[R, Q any] struct {
 	// prio is the session's scheduling class, fixed at create time (the
 	// class of the job whose cold create built it); eviction prefers
 	// lower classes.
-	prio   int
-	state  sessState
-	microq []Q
+	prio int
+	// holds counts the leases on the session: the running job plus the
+	// jobs attached behind it. A session with no holds is idle.
+	holds int
+	// failed marks a session to destroy at its last release.
+	failed bool
 	// expires and elem are meaningful while idle.
 	expires time.Time
 	elem    *list.Element
@@ -138,20 +135,15 @@ type sess[R, Q any] struct {
 
 // Pool owns the resident sessions. Create one with New and Close it to
 // destroy the idle residents and stop the janitor.
-type Pool[R, Q any] struct {
+type Pool[R any] struct {
 	cfg Config[R]
 
 	mu        sync.Mutex
 	closed    bool
-	byKey     map[Key][]*sess[R, Q]
+	byKey     map[Key][]*sess[R]
 	idleLRU   *list.List // front = most recently idle; evict from back
 	idleCount int
 	busyCount int
-	// pending counts cold creates in flight: their resources are already
-	// (partially) claimed from the system but the session is not yet
-	// registered. Busy and Counts include them so capacity-wait logic
-	// never mistakes a cluster mid-create for an idle one.
-	pending   int
 	idleCores map[int]int // per chip, warm reclaimable capacity
 	stats     metrics.SessionStats
 	destroyMu sync.Mutex
@@ -162,7 +154,7 @@ type Pool[R, Q any] struct {
 }
 
 // New builds a pool and starts its TTL janitor.
-func New[R, Q any](cfg Config[R]) (*Pool[R, Q], error) {
+func New[R any](cfg Config[R]) (*Pool[R], error) {
 	if cfg.Destroy == nil {
 		return nil, fmt.Errorf("session: config needs a Destroy hook")
 	}
@@ -172,15 +164,15 @@ func New[R, Q any](cfg Config[R]) (*Pool[R, Q], error) {
 	if cfg.TTL <= 0 {
 		cfg.TTL = DefaultTTL
 	}
-	if cfg.MicroQueueDepth <= 0 {
-		cfg.MicroQueueDepth = DefaultMicroQueueDepth
+	if cfg.AttachDepth <= 0 {
+		cfg.AttachDepth = DefaultAttachDepth
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = sim.Wall()
 	}
-	p := &Pool[R, Q]{
+	p := &Pool[R]{
 		cfg:         cfg,
-		byKey:       make(map[Key][]*sess[R, Q]),
+		byKey:       make(map[Key][]*sess[R]),
 		idleLRU:     list.New(),
 		idleCores:   make(map[int]int),
 		stop:        make(chan struct{}),
@@ -190,7 +182,7 @@ func New[R, Q any](cfg Config[R]) (*Pool[R, Q], error) {
 	return p, nil
 }
 
-func (p *Pool[R, Q]) now() time.Time {
+func (p *Pool[R]) now() time.Time {
 	if p.cfg.Now != nil {
 		return p.cfg.Now()
 	}
@@ -201,7 +193,7 @@ func (p *Pool[R, Q]) now() time.Time {
 // the configured Clock: with a virtual clock the sweeps fire as the
 // owner advances time, so trace replays expire sessions at the right
 // simulated moments instead of wall-clock ones.
-func (p *Pool[R, Q]) janitor() {
+func (p *Pool[R]) janitor() {
 	defer close(p.janitorDone)
 	tick := p.cfg.TTL / 4
 	if tick < time.Millisecond {
@@ -222,167 +214,138 @@ func (p *Pool[R, Q]) janitor() {
 	}
 }
 
-// Lease is a held session: exactly one goroutine owns it between Acquire
-// and the Next call that releases it.
-type Lease[R, Q any] struct {
-	p *Pool[R, Q]
-	s *sess[R, Q]
+// Lease is one job's hold on a session, from Acquire or Add until its
+// Release.
+type Lease[R any] struct {
+	p *Pool[R]
+	s *sess[R]
 }
 
 // Chip reports the chip hosting the leased session.
-func (l *Lease[R, Q]) Chip() int { return l.s.chip }
+func (l *Lease[R]) Chip() int { return l.s.chip }
 
 // Resource returns the leased resource.
-func (l *Lease[R, Q]) Resource() R { return l.s.res }
+func (l *Lease[R]) Resource() R { return l.s.res }
 
-// AcquireWarm leases an idle warm session for the key when one exists,
-// never falling through to the cold path. Serving loops try it before
-// Attach: an idle warm session runs the job immediately, which beats
-// queuing behind a busy one when concurrent cold creates left several
-// sessions of one key.
-func (p *Pool[R, Q]) AcquireWarm(key Key) (*Lease[R, Q], bool) {
+// attachableLocked reports whether a busy session takes one more
+// attached job. Caller holds p.mu.
+func (p *Pool[R]) attachableLocked(s *sess[R]) bool {
+	return s.holds > 0 && !s.failed && s.holds <= p.cfg.AttachDepth
+}
+
+// Offer reports the chip of a session the key's next job could run on
+// without claiming capacity: an idle one first, else a busy one with
+// attach room. It only looks; Acquire claims.
+func (p *Pool[R]) Offer(key Key) (chip int, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return 0, false
+	}
+	for _, s := range p.byKey[key] {
+		if s.holds == 0 {
+			return s.chip, true
+		}
+		if !ok && p.attachableLocked(s) {
+			chip, ok = s.chip, true
+		}
+	}
+	return chip, ok
+}
+
+// Acquire leases a session of the key on chip: an idle one (a warm hit)
+// when there is one, else a busy one with attach room (batched). ok is
+// false when neither exists or the pool is closed; the caller then
+// creates a session and registers it with Add.
+func (p *Pool[R]) Acquire(key Key, chip int) (l *Lease[R], batched, ok bool) {
 	start := p.cfg.Clock.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, false
+		return nil, false, false
 	}
-	l := p.acquireWarmLocked(key, start)
-	return l, l != nil
-}
-
-// acquireWarmLocked promotes an idle session of the key to busy and
-// books the warm-hit stats, or returns nil when none is idle. Caller
-// holds p.mu. Both warm entry points share it so warm-hit selection
-// cannot diverge between them.
-func (p *Pool[R, Q]) acquireWarmLocked(key Key, start time.Time) *Lease[R, Q] {
+	var attach *sess[R]
 	for _, s := range p.byKey[key] {
-		if s.state == stateIdle {
+		if s.chip != chip {
+			continue
+		}
+		if s.holds == 0 {
 			p.promoteLocked(s)
 			p.stats.WarmHits++
 			p.stats.WarmTime += p.cfg.Clock.Since(start)
-			return &Lease[R, Q]{p: p, s: s}
+			return &Lease[R]{p: p, s: s}, false, true
+		}
+		if attach == nil && p.attachableLocked(s) {
+			attach = s
 		}
 	}
-	return nil
+	if attach == nil {
+		return nil, false, false
+	}
+	attach.holds++
+	p.stats.Batched++
+	return &Lease[R]{p: p, s: attach}, true, true
 }
 
-// Acquire leases a session for the key: an idle warm one when available
-// (warm == true), otherwise whatever the create closure builds — with
-// idle sessions evicted LRU-first and the create retried whenever it
-// fails with an error IsCapacity classifies as curable. The closure runs
-// without the pool lock held; two concurrent cold acquires of one key
-// may therefore create two sessions, both of which pool on release.
-func (p *Pool[R, Q]) Acquire(key Key, create func() (int, R, error)) (*Lease[R, Q], bool, error) {
-	start := p.cfg.Clock.Now()
+// Add registers a resource the caller created for the key on chip (a
+// cold create that began at start) as a busy session and returns the
+// creator's lease on it. On a closed pool it destroys the resource and
+// fails with ErrDestroyed.
+func (p *Pool[R]) Add(key Key, chip int, res R, start time.Time) (*Lease[R], error) {
+	s := &sess[R]{key: key, chip: chip, res: res, holds: 1}
+	if p.cfg.Cores != nil {
+		s.cores = p.cfg.Cores(res)
+	}
+	if p.cfg.Priority != nil {
+		s.prio = p.cfg.Priority(res)
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, false, fmt.Errorf("session: pool closed: %w", core.ErrDestroyed)
+		p.destroy(s)
+		return nil, fmt.Errorf("session: pool closed: %w", core.ErrDestroyed)
 	}
-	if l := p.acquireWarmLocked(key, start); l != nil {
-		p.mu.Unlock()
-		return l, true, nil
-	}
-	// The cold create is pending from here until the session registers
-	// (or the create fails): its claimed resources must read as busy to
-	// capacity-wait logic, never as an idle cluster.
-	p.pending++
+	p.byKey[key] = append(p.byKey[key], s)
+	p.busyCount++
+	p.stats.ColdCreates++
+	p.stats.ColdTime += p.cfg.Clock.Since(start)
 	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		p.pending--
-		p.mu.Unlock()
-	}()
-
-	for {
-		chip, res, err := create()
-		if err == nil {
-			s := &sess[R, Q]{key: key, chip: chip, res: res, state: stateBusy}
-			if p.cfg.Cores != nil {
-				s.cores = p.cfg.Cores(res)
-			}
-			if p.cfg.Priority != nil {
-				s.prio = p.cfg.Priority(res)
-			}
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
-				p.destroy(s)
-				return nil, false, fmt.Errorf("session: pool closed: %w", core.ErrDestroyed)
-			}
-			p.byKey[key] = append(p.byKey[key], s)
-			p.busyCount++
-			p.stats.ColdCreates++
-			p.stats.ColdTime += p.cfg.Clock.Since(start)
-			p.mu.Unlock()
-			return &Lease[R, Q]{p: p, s: s}, false, nil
-		}
-		if p.cfg.IsCapacity == nil || !p.cfg.IsCapacity(err) {
-			return nil, false, err
-		}
-		// Capacity pressure: reclaim the least-recently-used idle
-		// session and retry. When nothing is left to evict, the failure
-		// stands.
-		if p.evict(1, &p.stats.EvictedPressure) == 0 {
-			return nil, false, err
-		}
-	}
+	return &Lease[R]{p: p, s: s}, nil
 }
 
-// Attach appends the item to the micro-queue of a busy session with the
-// key, reporting whether one accepted it. The session's holder will run
-// it back-to-back on the resident vNPU before releasing (continuous
-// batching). It fails when no session with the key is busy, every busy
-// session's micro-queue is full, or the pool is closed.
-func (p *Pool[R, Q]) Attach(key Key, item Q) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false
-	}
-	for _, s := range p.byKey[key] {
-		if s.state == stateBusy && len(s.microq) < p.cfg.MicroQueueDepth {
-			s.microq = append(s.microq, item)
-			p.stats.Batched++
-			return true
-		}
-	}
-	return false
+// Fail marks the leased session suspect: it takes no more attached jobs
+// and is destroyed at its last release instead of being pooled. Jobs
+// already attached still run on it.
+func (l *Lease[R]) Fail() {
+	l.p.mu.Lock()
+	l.s.failed = true
+	l.p.mu.Unlock()
 }
 
-// Next either pops the next micro-queued item (ok == true; the lease
-// stays held and the caller runs the item on the resident vNPU) or — with
-// the micro-queue empty — releases the session back to the idle pool and
-// invalidates the lease (ok == false). The two are one atomic step, so
-// no Attach can slip in between the empty check and the release. On a
-// closed pool the release destroys the session instead of pooling it.
-func (l *Lease[R, Q]) Next() (Q, bool) {
-	var zero Q
+// Release drops the lease's hold. The session's last release returns it
+// to the idle pool — or destroys it when it failed or the pool is
+// closed. Call it exactly once per lease.
+func (l *Lease[R]) Release() {
 	p, s := l.p, l.s
 	p.mu.Lock()
-	if len(s.microq) > 0 {
-		item := s.microq[0]
-		s.microq = s.microq[1:]
+	if s.holds--; s.holds > 0 {
 		p.mu.Unlock()
-		return item, true
+		return
 	}
-	if p.closed {
+	if p.closed || s.failed {
 		p.removeBusyLocked(s)
 		p.mu.Unlock()
 		p.destroy(s)
 		p.free()
-		return zero, false
+		return
 	}
-	s.state = stateIdle
 	s.expires = p.now().Add(p.cfg.TTL)
 	s.elem = p.idleLRU.PushFront(s)
 	p.idleCount++
 	p.busyCount--
 	p.idleCores[s.chip] += s.cores
-	over := p.idleCount - p.cfg.MaxIdle
-	var victims []*sess[R, Q]
-	for ; over > 0; over-- {
+	var victims []*sess[R]
+	for over := p.idleCount - p.cfg.MaxIdle; over > 0; over-- {
 		victims = append(victims, p.popIdleLocked(p.victimLocked()))
 		p.stats.EvictedLRU++
 	}
@@ -391,49 +354,28 @@ func (l *Lease[R, Q]) Next() (Q, bool) {
 		p.destroy(v)
 	}
 	p.free()
-	return zero, false
-}
-
-// Discard removes the leased session from the pool and destroys it
-// instead of pooling it — the holder's escape hatch when execution left
-// the resource suspect. It returns the drained micro-queue so the caller
-// can re-dispatch (or fail) the jobs that were waiting on the session.
-func (l *Lease[R, Q]) Discard() []Q {
-	p, s := l.p, l.s
-	p.mu.Lock()
-	items := s.microq
-	s.microq = nil
-	// The returned jobs were counted Batched at Attach but will re-enter
-	// the pool (attach or acquire) and be counted again; take the first
-	// count back so HitRate stays a per-job rate.
-	p.stats.Batched -= uint64(len(items))
-	p.removeBusyLocked(s)
-	p.mu.Unlock()
-	p.destroy(s)
-	p.free()
-	return items
 }
 
 // EvictIdle destroys up to n idle sessions — lowest scheduling class
 // first, least recently used within a class — returning how many it
-// evicted. Serving paths outside the pool call it when a placement fails
-// for lack of capacity, reclaiming warm cores for jobs that need fresh
-// rectangles; the class-weighted order means low-priority warm residency
-// is always cannibalized before high-priority pools.
-func (p *Pool[R, Q]) EvictIdle(n int) int {
+// evicted. The cluster calls it when a placement fails for lack of
+// capacity, reclaiming warm cores for jobs that need fresh rectangles;
+// the class-weighted order means low-priority warm residency is always
+// cannibalized before high-priority pools.
+func (p *Pool[R]) EvictIdle(n int) int {
 	return p.evict(n, &p.stats.EvictedPressure)
 }
 
 // victimLocked picks the eviction victim: the idle session with the
 // lowest class; within a class, the least recently used (closest to the
 // LRU back). Caller holds p.mu; returns nil with no idle sessions.
-func (p *Pool[R, Q]) victimLocked() *list.Element {
+func (p *Pool[R]) victimLocked() *list.Element {
 	var best *list.Element
 	bestPrio := 0
 	// Walk from the LRU back so the first session seen in each class is
 	// its least recently used; strict < keeps it.
 	for e := p.idleLRU.Back(); e != nil; e = e.Prev() {
-		s := e.Value.(*sess[R, Q])
+		s := e.Value.(*sess[R])
 		if best == nil || s.prio < bestPrio {
 			best, bestPrio = e, s.prio
 		}
@@ -444,9 +386,9 @@ func (p *Pool[R, Q]) victimLocked() *list.Element {
 // evict pops up to n idle sessions in class-weighted LRU order, counts
 // them in the given stat (which must be a field of p.stats, guarded by
 // p.mu), and destroys them outside the lock.
-func (p *Pool[R, Q]) evict(n int, counter *uint64) int {
+func (p *Pool[R]) evict(n int, counter *uint64) int {
 	p.mu.Lock()
-	var victims []*sess[R, Q]
+	var victims []*sess[R]
 	for len(victims) < n {
 		e := p.victimLocked()
 		if e == nil {
@@ -467,14 +409,14 @@ func (p *Pool[R, Q]) evict(n int, counter *uint64) int {
 
 // Sweep destroys idle sessions whose TTL expired. The janitor calls it
 // periodically; tests with an injected clock call it directly.
-func (p *Pool[R, Q]) Sweep() int {
+func (p *Pool[R]) Sweep() int {
 	now := p.now()
 	p.mu.Lock()
-	var victims []*sess[R, Q]
+	var victims []*sess[R]
 	// Idle order is monotonic in expiry (constant TTL), so the LRU back
 	// always expires first.
 	for e := p.idleLRU.Back(); e != nil; e = p.idleLRU.Back() {
-		s := e.Value.(*sess[R, Q])
+		s := e.Value.(*sess[R])
 		if s.expires.After(now) {
 			break
 		}
@@ -492,16 +434,16 @@ func (p *Pool[R, Q]) Sweep() int {
 }
 
 // Close stops the janitor and destroys every idle session. Sessions
-// still busy are destroyed when their holders release them. It returns
-// the first Destroy failure observed over the pool's lifetime.
-func (p *Pool[R, Q]) Close() error {
+// still busy are destroyed at their last release. It returns the first
+// Destroy failure observed over the pool's lifetime.
+func (p *Pool[R]) Close() error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return fmt.Errorf("session: pool closed: %w", core.ErrDestroyed)
 	}
 	p.closed = true
-	var victims []*sess[R, Q]
+	var victims []*sess[R]
 	for e := p.idleLRU.Back(); e != nil; e = p.idleLRU.Back() {
 		victims = append(victims, p.popIdleLocked(e))
 	}
@@ -516,34 +458,16 @@ func (p *Pool[R, Q]) Close() error {
 	return p.firstErr
 }
 
-// Busy reports whether any session is currently executing (leased) or
-// mid-cold-create. The dispatcher's ExternalBusy probe uses it: busy
-// sessions (and failed creates) signal on release, so parking on them is
-// safe.
-func (p *Pool[R, Q]) Busy() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.busyCount+p.pending > 0
-}
-
-// Counts reports the resident-session gauges: idle (reclaimable) and
-// busy (executing or mid-cold-create) sessions.
-func (p *Pool[R, Q]) Counts() (idle, busy int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.idleCount, p.busyCount + p.pending
-}
-
 // IdleCoresOn reports how many of a chip's cores idle warm sessions
 // hold — allocated but reclaimable capacity.
-func (p *Pool[R, Q]) IdleCoresOn(chip int) int {
+func (p *Pool[R]) IdleCoresOn(chip int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.idleCores[chip]
 }
 
 // Stats returns a snapshot of the pool's counters and gauges.
-func (p *Pool[R, Q]) Stats() metrics.SessionStats {
+func (p *Pool[R]) Stats() metrics.SessionStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.stats
@@ -555,11 +479,12 @@ func (p *Pool[R, Q]) Stats() metrics.SessionStats {
 	return s
 }
 
-// promoteLocked moves an idle session to busy. Caller holds p.mu.
-func (p *Pool[R, Q]) promoteLocked(s *sess[R, Q]) {
+// promoteLocked moves an idle session to busy under one hold. Caller
+// holds p.mu.
+func (p *Pool[R]) promoteLocked(s *sess[R]) {
 	p.idleLRU.Remove(s.elem)
 	s.elem = nil
-	s.state = stateBusy
+	s.holds = 1
 	p.idleCount--
 	p.busyCount++
 	p.idleCores[s.chip] -= s.cores
@@ -567,8 +492,8 @@ func (p *Pool[R, Q]) promoteLocked(s *sess[R, Q]) {
 
 // popIdleLocked removes the idle session at e from the LRU, the key
 // index and the gauges, returning it for destruction. Caller holds p.mu.
-func (p *Pool[R, Q]) popIdleLocked(e *list.Element) *sess[R, Q] {
-	s := e.Value.(*sess[R, Q])
+func (p *Pool[R]) popIdleLocked(e *list.Element) *sess[R] {
+	s := e.Value.(*sess[R])
 	p.idleLRU.Remove(e)
 	s.elem = nil
 	p.idleCount--
@@ -579,13 +504,13 @@ func (p *Pool[R, Q]) popIdleLocked(e *list.Element) *sess[R, Q] {
 
 // removeBusyLocked removes a busy session from the key index and the
 // busy gauge. Caller holds p.mu.
-func (p *Pool[R, Q]) removeBusyLocked(s *sess[R, Q]) {
+func (p *Pool[R]) removeBusyLocked(s *sess[R]) {
 	p.busyCount--
 	p.removeKeyLocked(s)
 }
 
 // removeKeyLocked drops s from the byKey index. Caller holds p.mu.
-func (p *Pool[R, Q]) removeKeyLocked(s *sess[R, Q]) {
+func (p *Pool[R]) removeKeyLocked(s *sess[R]) {
 	list := p.byKey[s.key]
 	for i, o := range list {
 		if o == s {
@@ -601,7 +526,7 @@ func (p *Pool[R, Q]) removeKeyLocked(s *sess[R, Q]) {
 
 // destroy tears the session's resource down, recording the first
 // failure for Close. Never called with p.mu held.
-func (p *Pool[R, Q]) destroy(s *sess[R, Q]) {
+func (p *Pool[R]) destroy(s *sess[R]) {
 	if err := p.cfg.Destroy(s.chip, s.res); err != nil {
 		p.destroyMu.Lock()
 		if p.firstErr == nil {
@@ -612,7 +537,7 @@ func (p *Pool[R, Q]) destroy(s *sess[R, Q]) {
 }
 
 // free runs the OnFree hook, if any.
-func (p *Pool[R, Q]) free() {
+func (p *Pool[R]) free() {
 	if p.cfg.OnFree != nil {
 		p.cfg.OnFree()
 	}

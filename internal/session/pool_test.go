@@ -34,7 +34,7 @@ func (h *harness) create() (int, *fakeRes, error) {
 	}
 	h.nextID++
 	h.live[h.nextID] = true
-	return h.nextID % 4, &fakeRes{id: h.nextID}, nil
+	return 0, &fakeRes{id: h.nextID}, nil
 }
 
 func (h *harness) destroy(chip int, r *fakeRes) error {
@@ -52,27 +52,41 @@ func newHarness(capacity int) *harness {
 	return &harness{live: make(map[int]bool), capacity: capacity}
 }
 
-func newPool(t *testing.T, h *harness, mut func(*Config[*fakeRes])) *Pool[*fakeRes, int] {
+func newPool(t *testing.T, h *harness, mut func(*Config[*fakeRes])) *Pool[*fakeRes] {
 	t.Helper()
 	cfg := Config[*fakeRes]{
-		Destroy:    h.destroy,
-		Cores:      func(r *fakeRes) int { return 2 },
-		IsCapacity: func(err error) bool { return errors.Is(err, core.ErrNoCapacity) },
+		Destroy: h.destroy,
+		Cores:   func(r *fakeRes) int { return 2 },
 	}
 	if mut != nil {
 		mut(&cfg)
 	}
-	p, err := New[*fakeRes, int](cfg)
+	p, err := New[*fakeRes](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-func release(t *testing.T, l *Lease[*fakeRes, int]) {
-	t.Helper()
-	if _, ok := l.Next(); ok {
-		t.Fatal("expected empty micro-queue on release")
+// acquireOrCreate places a job of the key the way the cluster does: on a warm or
+// attached session of the key (reused == true), else on a session the
+// create closure builds and Add registers — evicting idle sessions and
+// retrying while the create fails for lack of capacity, as the
+// dispatcher's Rank loop does. The fake backend has one chip, 0.
+func acquireOrCreate(p *Pool[*fakeRes], create func() (int, *fakeRes, error), key Key) (l *Lease[*fakeRes], reused bool, err error) {
+	if l, _, ok := p.Acquire(key, 0); ok {
+		return l, true, nil
+	}
+	start := time.Now()
+	for {
+		chip, res, err := create()
+		if err == nil {
+			l, err := p.Add(key, chip, res, start)
+			return l, false, err
+		}
+		if !errors.Is(err, core.ErrNoCapacity) || p.EvictIdle(1) == 0 {
+			return nil, false, err
+		}
 	}
 }
 
@@ -82,14 +96,14 @@ func TestAcquireWarmReuse(t *testing.T) {
 	defer p.Close()
 
 	key := Key{Tenant: "a", Model: 1}
-	l1, warm, err := p.Acquire(key, h.create)
+	l1, warm, err := acquireOrCreate(p, h.create, key)
 	if err != nil || warm {
 		t.Fatalf("first acquire: warm=%v err=%v", warm, err)
 	}
 	res := l1.Resource()
-	release(t, l1)
+	l1.Release()
 
-	l2, warm, err := p.Acquire(key, h.create)
+	l2, warm, err := acquireOrCreate(p, h.create, key)
 	if err != nil || !warm {
 		t.Fatalf("second acquire: warm=%v err=%v", warm, err)
 	}
@@ -97,12 +111,12 @@ func TestAcquireWarmReuse(t *testing.T) {
 		t.Fatal("warm acquire returned a different resource")
 	}
 	// A different key must not reuse the session.
-	l3, warm, err := p.Acquire(Key{Tenant: "b", Model: 1}, h.create)
+	l3, warm, err := acquireOrCreate(p, h.create, Key{Tenant: "b", Model: 1})
 	if err != nil || warm {
 		t.Fatalf("cross-key acquire: warm=%v err=%v", warm, err)
 	}
-	release(t, l2)
-	release(t, l3)
+	l2.Release()
+	l3.Release()
 
 	s := p.Stats()
 	if s.WarmHits != 1 || s.ColdCreates != 2 {
@@ -118,30 +132,30 @@ func TestAcquireEvictsUnderCapacityPressure(t *testing.T) {
 	p := newPool(t, h, nil)
 	defer p.Close()
 
-	la, _, err := p.Acquire(Key{Tenant: "a"}, h.create)
+	la, _, err := acquireOrCreate(p, h.create, Key{Tenant: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, _, err := p.Acquire(Key{Tenant: "b"}, h.create)
+	lb, _, err := acquireOrCreate(p, h.create, Key{Tenant: "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	release(t, la)
-	release(t, lb)
+	la.Release()
+	lb.Release()
 
 	// Backend is full; acquiring a third key must evict the LRU idle
 	// session ("a") to make room.
-	lc, warm, err := p.Acquire(Key{Tenant: "c"}, h.create)
+	lc, warm, err := acquireOrCreate(p, h.create, Key{Tenant: "c"})
 	if err != nil || warm {
 		t.Fatalf("pressure acquire: warm=%v err=%v", warm, err)
 	}
-	release(t, lc)
+	lc.Release()
 	s := p.Stats()
 	if s.EvictedPressure != 1 {
 		t.Fatalf("want 1 pressure eviction, got %+v", s)
 	}
 	// "b" must still be warm, "a" gone.
-	if _, warm, _ := p.Acquire(Key{Tenant: "b"}, h.create); !warm {
+	if _, warm, _ := acquireOrCreate(p, h.create, Key{Tenant: "b"}); !warm {
 		t.Fatal("LRU eviction removed the wrong session")
 	}
 }
@@ -151,15 +165,15 @@ func TestAcquirePressureExhaustedReturnsError(t *testing.T) {
 	p := newPool(t, h, nil)
 	defer p.Close()
 
-	la, _, err := p.Acquire(Key{Tenant: "a"}, h.create)
+	la, _, err := acquireOrCreate(p, h.create, Key{Tenant: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// "a" is busy (not evictable); a second session cannot be created.
-	if _, _, err := p.Acquire(Key{Tenant: "b"}, h.create); !errors.Is(err, core.ErrNoCapacity) {
+	if _, _, err := acquireOrCreate(p, h.create, Key{Tenant: "b"}); !errors.Is(err, core.ErrNoCapacity) {
 		t.Fatalf("want ErrNoCapacity, got %v", err)
 	}
-	release(t, la)
+	la.Release()
 }
 
 func TestMaxIdleLRUBound(t *testing.T) {
@@ -167,16 +181,16 @@ func TestMaxIdleLRUBound(t *testing.T) {
 	p := newPool(t, h, func(c *Config[*fakeRes]) { c.MaxIdle = 2 })
 	defer p.Close()
 
-	var leases []*Lease[*fakeRes, int]
+	var leases []*Lease[*fakeRes]
 	for i := 0; i < 4; i++ {
-		l, _, err := p.Acquire(Key{Tenant: fmt.Sprint(i)}, h.create)
+		l, _, err := acquireOrCreate(p, h.create, Key{Tenant: fmt.Sprint(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		leases = append(leases, l)
 	}
 	for _, l := range leases {
-		release(t, l)
+		l.Release()
 	}
 	s := p.Stats()
 	if s.IdleSessions != 2 || s.EvictedLRU != 2 {
@@ -202,11 +216,11 @@ func TestSweepExpiresIdleSessions(t *testing.T) {
 	})
 	defer p.Close()
 
-	l, _, err := p.Acquire(Key{Tenant: "a"}, h.create)
+	l, _, err := acquireOrCreate(p, h.create, Key{Tenant: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	release(t, l)
+	l.Release()
 	if n := p.Sweep(); n != 0 {
 		t.Fatalf("premature sweep evicted %d", n)
 	}
@@ -221,60 +235,84 @@ func TestSweepExpiresIdleSessions(t *testing.T) {
 	}
 }
 
-func TestAttachAndNextDrainMicroQueue(t *testing.T) {
+// TestAttachBoundAndLastReleaseIdles: a job attaches only to a busy
+// session of its key, at most AttachDepth jobs per session, and the
+// session stays busy until its last hold is released.
+func TestAttachBoundAndLastReleaseIdles(t *testing.T) {
 	h := newHarness(8)
-	p := newPool(t, h, func(c *Config[*fakeRes]) { c.MicroQueueDepth = 2 })
+	p := newPool(t, h, func(c *Config[*fakeRes]) { c.AttachDepth = 2 })
 	defer p.Close()
 
 	key := Key{Tenant: "a"}
-	if p.Attach(key, 1) {
+	if _, _, ok := p.Acquire(key, 0); ok {
 		t.Fatal("attach must fail with no busy session")
 	}
-	l, _, err := p.Acquire(key, h.create)
+	l, _, err := acquireOrCreate(p, h.create, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Attach(key, 1) || !p.Attach(key, 2) {
-		t.Fatal("attach to busy session failed")
+	if chip, ok := p.Offer(key); !ok || chip != 0 {
+		t.Fatalf("busy session with attach room not offered: %v %v", chip, ok)
 	}
-	if p.Attach(key, 3) {
-		t.Fatal("attach beyond micro-queue depth must fail")
+	var attached []*Lease[*fakeRes]
+	for i := 0; i < 2; i++ {
+		la, batched, ok := p.Acquire(key, 0)
+		if !ok || !batched {
+			t.Fatalf("attach %d to busy session failed: batched=%v ok=%v", i, batched, ok)
+		}
+		if la.Resource() != l.Resource() {
+			t.Fatal("attach landed on another session")
+		}
+		attached = append(attached, la)
 	}
-	if item, ok := l.Next(); !ok || item != 1 {
-		t.Fatalf("next: %v %v", item, ok)
+	if _, _, ok := p.Acquire(key, 0); ok {
+		t.Fatal("attach beyond the bound must fail")
 	}
-	if item, ok := l.Next(); !ok || item != 2 {
-		t.Fatalf("next: %v %v", item, ok)
+	if _, ok := p.Offer(key); ok {
+		t.Fatal("full busy session must not be offered")
 	}
-	if _, ok := l.Next(); ok {
-		t.Fatal("drained session must release")
+	l.Release()
+	attached[0].Release()
+	if s := p.Stats(); s.BusySessions != 1 || s.IdleSessions != 0 {
+		t.Fatalf("session must stay busy while a hold remains: %+v", s)
 	}
-	// After release the session is idle: attach must fail, acquire is warm.
-	if p.Attach(key, 4) {
-		t.Fatal("attach to idle session must fail")
+	attached[1].Release()
+	if s := p.Stats(); s.BusySessions != 0 || s.IdleSessions != 1 || s.Batched != 2 {
+		t.Fatalf("last release must idle the session: %+v", s)
 	}
-	if s := p.Stats(); s.Batched != 2 {
-		t.Fatalf("stats: %+v", s)
+	// Idle now: the next job takes it warm, not batched.
+	if _, batched, ok := p.Acquire(key, 0); !ok || batched {
+		t.Fatalf("idle session not leased warm: batched=%v ok=%v", batched, ok)
 	}
 }
 
-func TestDiscardReturnsQueuedItems(t *testing.T) {
+// TestFailDestroysAtLastRelease: a session a holder marked failed takes
+// no further attaches and is destroyed, not pooled, at its last release.
+func TestFailDestroysAtLastRelease(t *testing.T) {
 	h := newHarness(8)
 	p := newPool(t, h, nil)
 	defer p.Close()
 
 	key := Key{Tenant: "a"}
-	l, _, err := p.Acquire(key, h.create)
+	l, _, err := acquireOrCreate(p, h.create, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Attach(key, 7)
-	items := l.Discard()
-	if len(items) != 1 || items[0] != 7 {
-		t.Fatalf("discard returned %v", items)
+	la, batched, ok := p.Acquire(key, 0)
+	if !ok || !batched {
+		t.Fatal("attach to busy session failed")
 	}
+	l.Fail()
+	if _, _, ok := p.Acquire(key, 0); ok {
+		t.Fatal("failed session must take no attaches")
+	}
+	l.Release()
+	if s := p.Stats(); s.BusySessions != 1 {
+		t.Fatalf("failed session must stay busy for its attached job: %+v", s)
+	}
+	la.Release()
 	if s := p.Stats(); s.IdleSessions != 0 || s.BusySessions != 0 {
-		t.Fatalf("discarded session still resident: %+v", s)
+		t.Fatalf("failed session still resident: %+v", s)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -286,15 +324,26 @@ func TestDiscardReturnsQueuedItems(t *testing.T) {
 func TestCloseDestroysIdleAndRejectsAcquire(t *testing.T) {
 	h := newHarness(8)
 	p := newPool(t, h, nil)
-	l, _, err := p.Acquire(Key{Tenant: "a"}, h.create)
+	key := Key{Tenant: "a"}
+	l, _, err := acquireOrCreate(p, h.create, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	release(t, l)
+	l.Release()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Acquire(Key{Tenant: "a"}, h.create); !errors.Is(err, core.ErrDestroyed) {
+	if _, _, ok := p.Acquire(key, 0); ok {
+		t.Fatal("acquire on a closed pool succeeded")
+	}
+	if _, ok := p.Offer(key); ok {
+		t.Fatal("closed pool offered a session")
+	}
+	_, res, err := h.create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Add(key, 0, res, time.Now()); !errors.Is(err, core.ErrDestroyed) {
 		t.Fatalf("want ErrDestroyed, got %v", err)
 	}
 	h.mu.Lock()
@@ -304,9 +353,9 @@ func TestCloseDestroysIdleAndRejectsAcquire(t *testing.T) {
 	}
 }
 
-// TestChurnRace hammers Acquire/Attach/Next/EvictIdle/Sweep from many
-// goroutines under capacity pressure; run with -race. Every created
-// resource must be destroyed exactly once by Close.
+// TestChurnRace hammers Acquire/Add/Release/Fail/EvictIdle/Sweep from
+// many goroutines under capacity pressure; run with -race. Every created
+// resource must be destroyed exactly once, at the latest by Close.
 func TestChurnRace(t *testing.T) {
 	h := newHarness(6)
 	p := newPool(t, h, func(c *Config[*fakeRes]) {
@@ -325,10 +374,7 @@ func TestChurnRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < rounds; i++ {
 				key := Key{Tenant: fmt.Sprint(rng.Intn(4))}
-				if p.Attach(key, i) {
-					continue // the holder consumes it
-				}
-				l, _, err := p.Acquire(key, h.create)
+				l, _, err := acquireOrCreate(p, h.create, key)
 				if err != nil {
 					if !errors.Is(err, core.ErrNoCapacity) {
 						t.Errorf("acquire: %v", err)
@@ -337,12 +383,10 @@ func TestChurnRace(t *testing.T) {
 					continue
 				}
 				handled.Add(1)
-				for {
-					if _, ok := l.Next(); !ok {
-						break
-					}
-					handled.Add(1)
+				if rng.Intn(32) == 0 {
+					l.Fail()
 				}
+				l.Release()
 				if rng.Intn(8) == 0 {
 					p.EvictIdle(1)
 				}
@@ -355,6 +399,9 @@ func TestChurnRace(t *testing.T) {
 	wg.Wait()
 	if handled.Load() == 0 {
 		t.Fatal("no work handled")
+	}
+	if s := p.Stats(); s.BusySessions != 0 {
+		t.Fatalf("sessions still busy after every release: %+v", s)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -382,9 +429,9 @@ func TestEvictionPrefersLowPriority(t *testing.T) {
 	})
 	defer p.Close()
 
-	acquire := func(tenant string, class int) *Lease[*fakeRes, int] {
+	acquire := func(tenant string, class int) *Lease[*fakeRes] {
 		t.Helper()
-		l, _, err := p.Acquire(Key{Tenant: tenant}, func() (int, *fakeRes, error) {
+		l, _, err := acquireOrCreate(p, func() (int, *fakeRes, error) {
 			chip, r, err := h.create()
 			if err == nil {
 				prioMu.Lock()
@@ -392,7 +439,7 @@ func TestEvictionPrefersLowPriority(t *testing.T) {
 				prioMu.Unlock()
 			}
 			return chip, r, err
-		})
+		}, Key{Tenant: tenant})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,23 +449,23 @@ func TestEvictionPrefersLowPriority(t *testing.T) {
 	// Idle order (most recent first): highB, lowOld, highA — pure LRU
 	// would evict highA; class-weighted eviction must evict lowOld.
 	la := acquire("highA", 3)
-	release(t, la)
+	la.Release()
 	lo := acquire("lowOld", 0)
-	release(t, lo)
+	lo.Release()
 	lb := acquire("highB", 3)
-	release(t, lb)
+	lb.Release()
 
 	// The backend is full: a fourth session needs a pressure eviction.
 	lc := acquire("next", 2)
-	release(t, lc)
+	lc.Release()
 	if s := p.Stats(); s.EvictedPressure != 1 {
 		t.Fatalf("want 1 pressure eviction, got %+v", s)
 	}
 	// Both high-class sessions survived; the low one is gone.
-	if _, warm, _ := p.Acquire(Key{Tenant: "highA"}, h.create); !warm {
+	if _, warm, _ := acquireOrCreate(p, h.create, Key{Tenant: "highA"}); !warm {
 		t.Fatal("eviction took a high-class session instead of the low one")
 	}
-	if _, warm, _ := p.Acquire(Key{Tenant: "highB"}, h.create); !warm {
+	if _, warm, _ := acquireOrCreate(p, h.create, Key{Tenant: "highB"}); !warm {
 		t.Fatal("eviction took highB")
 	}
 	p.mu.Lock()
@@ -438,21 +485,21 @@ func TestEvictionSamePriorityKeepsLRU(t *testing.T) {
 	})
 	defer p.Close()
 
-	la, _, err := p.Acquire(Key{Tenant: "a"}, h.create)
+	la, _, err := acquireOrCreate(p, h.create, Key{Tenant: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, _, err := p.Acquire(Key{Tenant: "b"}, h.create)
+	lb, _, err := acquireOrCreate(p, h.create, Key{Tenant: "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	release(t, la)
-	release(t, lb)
+	la.Release()
+	lb.Release()
 	if n := p.EvictIdle(1); n != 1 {
 		t.Fatalf("evicted %d, want 1", n)
 	}
 	// "a" went idle first, so it must be the victim; "b" stays warm.
-	if _, warm, _ := p.Acquire(Key{Tenant: "b"}, h.create); !warm {
+	if _, warm, _ := acquireOrCreate(p, h.create, Key{Tenant: "b"}); !warm {
 		t.Fatal("same-class eviction was not LRU")
 	}
 }

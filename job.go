@@ -6,11 +6,12 @@ import (
 	"time"
 
 	"github.com/vnpu-sim/vnpu/internal/sched"
+	"github.com/vnpu-sim/vnpu/internal/session"
 )
 
 // Priority is a job's scheduling class. The cluster's scheduler core
-// orders admission by class first (higher classes place first, on both
-// serving paths), earliest deadline next, admission order last. Aging
+// orders admission by class first (higher classes place first),
+// earliest deadline next, admission order last. Aging
 // protects lower classes from starvation: a queued job is promoted one
 // class after every WithAgingRounds scheduling rounds spent waiting, so
 // even sustained PriorityCritical load cannot park a PriorityBestEffort
@@ -74,8 +75,7 @@ type Job struct {
 	// Priority is the job's scheduling class (PriorityDefault resolves
 	// to the cluster's default, normally PriorityNormal; tenants may be
 	// capped with WithTenantPriorityCap). Higher classes are placed
-	// first on both serving paths and may displace queued lower-class
-	// work.
+	// first and may displace queued lower-class work.
 	Priority Priority
 	// Deadline, when non-zero, is the job's scheduling SLO: within a
 	// class, jobs place earliest-deadline-first, and a job still
@@ -92,22 +92,27 @@ type Job struct {
 	// bandwidth caps, ...). Memory defaults to the model's footprint on
 	// the requested core count.
 	Options []Option
-	// Reusable marks the job session-eligible: on a cluster with
-	// WithSessionReuse, it runs on a resident vNPU leased per (tenant,
+	// Reusable marks the job session-keyed: on a cluster with
+	// WithSessionReuse, it runs on a resident vNPU kept per (tenant,
 	// model, topology, options) — warm jobs skip placement, creation and
 	// compilation, and bursts of identical jobs are continuously batched
-	// back-to-back on one resident vNPU. Non-reusable jobs keep the
-	// create/run/destroy path, though repeated identical submissions are
-	// auto-promoted to the session path once the cluster has seen their
-	// fingerprint before. Decode-phase transformer traffic is the
-	// intended user; jobs with callback-based mapping options are never
-	// pooled.
+	// back-to-back on one resident vNPU. Non-reusable jobs get a vNPU
+	// created and destroyed for them, though repeated identical
+	// submissions are auto-promoted to sessions once the cluster has
+	// seen their fingerprint before. Decode-phase transformer traffic is
+	// the intended user; jobs with callback-based mapping options are
+	// never pooled.
 	Reusable bool
 
 	// modelSig is the model's content fingerprint, resolved once at
 	// Submit and threaded through so the execution paths can key the
 	// compiled-program cache without rehashing the model per job.
 	modelSig uint64
+
+	// sess is the job's session key, set at Submit when the job runs on
+	// a resident session (nil otherwise); placement offers and claims
+	// sessions by it.
+	sess *session.Key
 
 	// obsID is the job's lifecycle-trace identity, assigned at Submit
 	// when tracing is on (0 otherwise) and preserved across fleet
@@ -147,7 +152,7 @@ type JobReport struct {
 	// placed on its chip.
 	QueueWait time.Duration
 	// Warm reports that the job ran on an already-resident session vNPU
-	// (warm lease or micro-queue batch) — no placement, create or
+	// (warm lease or attach to a busy session) — no placement, create or
 	// compile happened on its account.
 	Warm bool
 }

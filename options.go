@@ -107,8 +107,7 @@ func WithDefaultPriority(p Priority) ClusterOption {
 }
 
 // WithTenantPriorityCap caps one tenant's scheduling class: jobs the
-// tenant submits above the cap are silently clamped down to it, on both
-// serving paths. Use it to keep batch tenants out of the SLO classes
+// tenant submits above the cap are silently clamped down to it. Use it to keep batch tenants out of the SLO classes
 // without rejecting their traffic.
 func WithTenantPriorityCap(tenant string, max Priority) ClusterOption {
 	return func(c *clusterConfig) {
@@ -266,8 +265,8 @@ func (s SLO) objective() slo.Objective {
 }
 
 // WithSLO installs per-(tenant, class) error-budget tracking for the
-// given objectives. The tracker watches both serving paths through the
-// same lifecycle seam as tracing (but independently of it — tracing may
+// given objectives. The tracker watches every job through the same
+// lifecycle seam as tracing (but independently of it — tracing may
 // stay off), maintains multi-window burn rates per matching series, and
 // surfaces them at /debug/slo on Handler's mux plus the vnpu_slo_*
 // metric families on /metrics. Read it programmatically with

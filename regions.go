@@ -90,7 +90,7 @@ const overlapLevels = 64
 
 // acquireRegion claims the vNPU's cores on the chip for execution,
 // waiting out any intersecting claim, and samples the resulting
-// concurrency level. Both execution paths bracket every run with
+// concurrency level. Every execution brackets its run with
 // acquireRegion/releaseRegion.
 func (c *Cluster) acquireRegion(chip int, v *VirtualNPU) *regionClaim {
 	nodes := v.Nodes()

@@ -1,40 +1,40 @@
 package vnpu
 
-// The session serving path: resident vNPU leases with continuous
-// batching, built on internal/session. A cluster with WithSessionReuse
-// keeps the vNPU of a finished session-eligible job resident instead of
-// destroying it; the next job of the same (tenant, model, topology,
-// options) class leases it warm — no placement decision, no create, no
-// compile — and bursts of identical jobs are co-scheduled back-to-back
-// on one resident vNPU through a per-session micro-queue. Idle sessions
-// expire on a TTL, are bounded LRU-wide, and are evicted on demand when
-// any job (pooled or not) cannot otherwise be placed, so warm pools
-// never starve jobs that need fresh rectangles.
+// Resident sessions, built on internal/session. A cluster with
+// WithSessionReuse keeps the vNPU of a finished session-keyed job
+// resident instead of destroying it. Sessions are not a serving path of
+// their own: every job goes through the dispatcher, and for a
+// session-keyed job a resident session is one more placement outcome.
+// Rank and RankHit offer the chip of an idle session of the job's
+// (tenant, model, topology, options) key — a zero-cost candidate found by
+// one pool lookup — or else of a busy one with attach room, and Place
+// claims it: a warm lease (no placement decision, no create, no compile)
+// or an attach, where the job queues on the session's chip behind the
+// running job (continuous batching). With neither, Place creates the
+// session cold. Idle sessions expire on a TTL, are bounded LRU-wide, and
+// are evicted on demand when any job cannot otherwise be placed, so warm
+// pools never starve jobs that need fresh rectangles.
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 
 	"github.com/vnpu-sim/vnpu/internal/metrics"
 	"github.com/vnpu-sim/vnpu/internal/obs"
 	"github.com/vnpu-sim/vnpu/internal/place"
-	"github.com/vnpu-sim/vnpu/internal/sched"
 	"github.com/vnpu-sim/vnpu/internal/session"
 	"github.com/vnpu-sim/vnpu/internal/topo"
 )
 
 // SessionStats is a snapshot of the session pool's counters: warm hits,
-// cold creates, micro-queue batches, evictions by cause, resident-session
+// cold creates, attached (batched) jobs, evictions by cause, resident-session
 // gauges, and warm-vs-cold acquisition latency.
 type SessionStats = metrics.SessionStats
 
-// WithSessionReuse enables the session pool: session-eligible jobs (see
-// Job.Reusable) lease resident vNPUs instead of paying the
+// WithSessionReuse enables the session pool: session-keyed jobs (see
+// Job.Reusable) run on resident vNPUs instead of paying the
 // create→map→run→destroy path per job. SessionStats reports the warm-hit
 // rate; tune the pool with WithSessionIdleTTL, WithSessionMaxIdle and
 // WithSessionMicroQueue.
@@ -57,9 +57,11 @@ func WithSessionMaxIdle(n int) ClusterOption {
 	return func(c *clusterConfig) { c.sessionIdle = n }
 }
 
-// WithSessionMicroQueue bounds each busy session's micro-queue — how
-// many compatible jobs may wait to be continuously batched onto the
-// resident vNPU (default session.DefaultMicroQueueDepth).
+// WithSessionMicroQueue bounds how many jobs of a busy session's key may
+// be attached to it — placed on its resident vNPU to run back-to-back
+// after the job it is running (continuous batching) — before further
+// jobs of the key create another session (default
+// session.DefaultAttachDepth).
 func WithSessionMicroQueue(n int) ClusterOption {
 	return func(c *clusterConfig) { c.sessionMicro = n }
 }
@@ -138,7 +140,8 @@ func (c *Cluster) coreUsage(chip int) CoreUsage {
 
 // sessRes is the pooled resource: a resident vNPU plus the program
 // compiled for it, cached so warm jobs skip compilation (the session key
-// pins the model, so one slot suffices).
+// pins the model, so one slot suffices). cm is written and read only
+// under the vNPU's region claim (see Cluster.run).
 type sessRes struct {
 	v  *VirtualNPU
 	cm *CompiledModel
@@ -152,21 +155,7 @@ type sessRes struct {
 }
 
 // sessLease names the pool lease instantiation.
-type sessLease = session.Lease[*sessRes, *sessTask]
-
-// sessTask is one job routed through the session path; it doubles as the
-// micro-queue item.
-type sessTask struct {
-	ctx context.Context
-	job Job
-	req Request
-	key session.Key
-	h   *sched.Handle[JobReport]
-	// seq is the admission sequence ticket drawn from the dispatcher's
-	// counter: the job may not start until no older queued dispatcher
-	// job of equal-or-higher class remains (WaitTurn).
-	seq uint64
-}
+type sessLease = session.Lease[*sessRes]
 
 // sessionKeyOf computes the job's session class from the model
 // fingerprint Submit already computed. ok is false when the job cannot
@@ -237,12 +226,6 @@ func capacityCurable(err error) bool {
 	return errors.Is(err, ErrNoCapacity) || errors.Is(err, ErrTopologyUnsatisfiable)
 }
 
-// sessionBusy reports whether any resident session is executing, for the
-// dispatcher's park-versus-terminal-failure decision.
-func (c *Cluster) sessionBusy() bool {
-	return c.pool != nil && c.pool.Busy()
-}
-
 // sessionReclaim evicts one idle warm session, reporting whether
 // anything was freed — the dispatcher's last resort before parking or
 // failing an unplaceable job.
@@ -250,331 +233,54 @@ func (c *Cluster) sessionReclaim() bool {
 	return c.pool != nil && c.pool.EvictIdle(1) > 0
 }
 
-// pokeSessions wakes one session job parked on capacity. Non-blocking;
-// the one-slot buffer makes it an edge signal like the dispatcher's
-// freed channel.
-func (c *Cluster) pokeSessions() {
-	select {
-	case c.capFreed <- struct{}{}:
-	default:
-	}
-}
-
-// pokeAll wakes a parked job on each serving path: session exits that
-// consumed capacity-wait tokens (or whose pending create kept a
-// dispatcher job parked) must wake both sides.
-func (c *Cluster) pokeAll() {
-	c.disp.Kick()
-	c.pokeSessions()
-}
-
-// submitSession admits a session-eligible job and starts its serving
-// goroutine. Admission mirrors the dispatcher's: the in-flight bound is
-// the queue depth (ErrQueueFull beyond), the tenant quota is one shared
-// counter with the dispatcher path — the slot is reserved atomically in
-// the dispatcher (ReserveSlot), so racing Submits on the two paths
-// cannot jointly oversubscribe a tenant — and the job draws a sequence
-// ticket from the dispatcher's admission counter, so the scheduler core
-// can order it against queued one-shot work (WaitTurn in sessionRun).
-func (c *Cluster) submitSession(ctx context.Context, job Job, req Request, key session.Key) (*Handle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !job.Deadline.IsZero() && c.clk.Now().After(job.Deadline) {
-		c.disp.ExternalDeadlineMiss(job.Priority.class())
-		return nil, fmt.Errorf("vnpu: job deadline already passed at submit: %w", ErrDeadlineExceeded)
-	}
-	tenant := job.tenant()
-	c.sessMu.Lock()
-	if c.sessClosed {
-		c.sessMu.Unlock()
-		return nil, fmt.Errorf("vnpu: cluster closed: %w", ErrDestroyed)
-	}
-	if c.sessInflight >= c.queueDepth {
-		c.sessMu.Unlock()
-		return nil, fmt.Errorf("vnpu: %d session jobs in flight: %w", c.queueDepth, ErrQueueFull)
-	}
-	if err := c.disp.ReserveSlot(tenant); err != nil {
-		c.sessMu.Unlock()
-		return nil, err
-	}
-	c.sessInflight++
-	c.sessSubmitted++
-	c.sessWG.Add(1)
-	c.sessMu.Unlock()
-	class := job.Priority.class()
-	c.disp.ExternalSubmitted(class)
-	t := &sessTask{
-		ctx: ctx, job: job, req: req, key: key,
-		h:   sched.NewHandle[JobReport](c.clk, tenant, class),
-		seq: c.disp.Ticket(),
-	}
-	c.trace(&job, obs.StageAdmitted, "", -1)
-	go c.sessionRun(t)
-	return &Handle{h: t.h}, nil
-}
-
-// sessionRun serves one session job: attach to a busy compatible session
-// (continuous batching — its holder runs the job), or lease a session
-// (warm or cold) and drain its micro-queue before releasing. A cold
-// acquire that fails for lack of capacity parks until capacity moves
-// anywhere in the cluster and retries — mirroring the dispatcher's
-// retry-on-release backpressure — and fails terminally only when nothing
-// in flight could ever free what the job needs.
-//
-// Before touching the pool, the job waits its admission turn: the
-// scheduler core blocks it while any older queued dispatcher job of
-// equal-or-higher class remains, so warm-hit traffic cannot pass queued
-// one-shot work (it can still pass *lower*-class queued work — that is
-// what priority classes are for).
-func (c *Cluster) sessionRun(t *sessTask) {
-	if err := c.disp.WaitTurn(t.ctx, t.seq, t.job.Priority.class(), t.job.Deadline); err != nil {
-		c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: %w", err))
-		return
-	}
-	var deadlineC <-chan time.Time
-	if !t.job.Deadline.IsZero() {
-		timer := c.clk.NewTimer(t.job.Deadline.Sub(c.clk.Now()))
-		defer timer.Stop()
-		deadlineC = timer.C()
-	}
-	var lease *sessLease
-	var warm bool
-	for {
-		// An idle warm session of the key runs the job immediately —
-		// preferable to micro-queuing behind a busy one when concurrent
-		// cold creates left several sessions of the same key.
-		if l, ok := c.pool.AcquireWarm(t.key); ok {
-			lease, warm = l, true
-			break
-		}
-		if c.pool.Attach(t.key, t) {
-			c.trace(&t.job, obs.StageSession, "batched", -1)
-			// The handoff consumed no capacity; any wakeup token this
-			// goroutine ate while parked must pass to the next waiter.
-			c.pokeAll()
-			return
-		}
-		var err error
-		lease, warm, err = c.pool.Acquire(t.key, func() (int, *sessRes, error) {
-			return c.createSession(t.req, t.job.Priority.class())
+// placeSession claims a resident session of the job's key on chip: an
+// idle one (warm), else a busy one with attach room (batched) — the job
+// then runs after the session's running job, serialized by the region
+// claim on the resident vNPU — else a new session created there (cold)
+// at the engine's resolved mapping, with the same stale-placement retry
+// as any create. The session's cores are booked in the engine as held by
+// the job's class (the session keeps that class for eviction order), and
+// the outcome is recorded as the job's session trace event.
+func (c *Cluster) placeSession(chip int, job Job) (placement, error) {
+	key := *job.sess
+	l, batched, warm := c.pool.Acquire(key, chip)
+	if !warm {
+		start := c.clk.Now()
+		class := job.Priority.class()
+		v, err := c.createPlaced(chip, job.request(), func(nodes []topo.NodeID) error {
+			return c.engine.Reserve(chip, nodes, class)
 		})
-		if err == nil {
-			break
+		if err != nil {
+			return placement{}, err
 		}
-		if !capacityCurable(err) {
-			// Exits from the parked loop that consume no capacity re-poke
-			// both paths: a token eaten on a previous iteration must not
-			// strand other parked session jobs, and a dispatcher job parked
-			// on this goroutine's pending create needs its own wakeup.
-			c.pokeAll()
-			c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: acquiring session: %w", err))
-			return
+		r := &sessRes{v: v, class: class}
+		// The resident vNPU executes inside its own timing domain for its
+		// whole lifetime, so warm jobs overlap disjoint neighbors. An
+		// overlap failure means the placement view is corrupt — undo the
+		// create rather than serve on shared timing.
+		if err := v.OpenDomain(); err != nil {
+			_ = c.destroySession(chip, r)
+			return placement{}, err
 		}
-		// Anything currently holding capacity — dispatcher placements,
-		// busy or idle sessions — will poke capFreed when it lets go. With
-		// nothing in flight anywhere the failure is structural; drain a
-		// pending poke and retry once before declaring it terminal.
-		idleSess, busySess := c.pool.Counts()
-		if c.disp.InFlight() == 0 && idleSess == 0 && busySess == 0 {
-			select {
-			case <-c.capFreed:
-				continue
-			default:
-			}
-			c.pokeAll()
-			c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: session unplaceable on an idle cluster: %w", err))
-			return
-		}
-		select {
-		case <-c.capFreed:
-		case <-deadlineC:
-			c.pokeAll()
-			c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: deadline passed awaiting session capacity: %w", ErrDeadlineExceeded))
-			return
-		case <-t.ctx.Done():
-			c.pokeAll()
-			c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: job canceled awaiting session capacity: %w", t.ctx.Err()))
-			return
+		if l, err = c.pool.Add(key, chip, r, start); err != nil {
+			return placement{}, err
 		}
 	}
+	v := l.Resource().v
+	// The vNPU lease guards the resident vNPU against destruction while
+	// the job holds it; Release drops it.
+	v.Lease()
 	if c.rec != nil || c.slo != nil {
 		detail := "cold"
-		if warm {
+		switch {
+		case batched:
+			detail = "batched"
+		case warm:
 			detail = "warm"
 		}
-		c.trace(&t.job, obs.StageSession, detail, lease.Chip())
+		c.trace(&job, obs.StageSession, detail, chip)
 	}
-	r := lease.Resource()
-	// Lease the vNPU only after Acquire: the session is busy (hence
-	// unevictable) from here until Next releases it, so the guard lease
-	// can safely bracket just the executions. Leasing inside the create
-	// factory would hand the pool a vNPU it cannot destroy when Acquire
-	// loses the close race.
-	r.v.Lease()
-	for {
-		fatal := c.execSession(lease.Chip(), r, t, warm)
-		// The run loop holds the vNPU's lease only while a job executes;
-		// it must drop before the session can go idle, or eviction of the
-		// just-idled session would trip the lease-safe destroy guard.
-		r.v.Unlease()
-		if fatal {
-			// The resource is suspect (non-cancellation execution error):
-			// destroy it and re-dispatch whatever was micro-queued — each
-			// job attaches elsewhere or acquires a fresh session.
-			for _, queued := range lease.Discard() {
-				go c.sessionRun(queued)
-			}
-			return
-		}
-		next, ok := lease.Next()
-		if !ok {
-			return
-		}
-		r.v.Lease()
-		t, warm = next, true
-	}
-}
-
-// execSession executes one job on the resident vNPU, resolving the
-// session's program through the cluster's compile-once cache on first
-// use and reusing it for every later job. It reports whether the session
-// must be discarded (true on execution errors that are not the job's own
-// cancellation). Jobs whose scheduling deadline passed while they waited
-// — in the micro-queue or for the chip — fail fast without running.
-func (c *Cluster) execSession(chip int, r *sessRes, t *sessTask, warm bool) (fatal bool) {
-	if err := t.ctx.Err(); err != nil {
-		c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: job canceled before execution: %w", err))
-		return false
-	}
-	if !t.job.Deadline.IsZero() && c.clk.Now().After(t.job.Deadline) {
-		c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: deadline passed before execution: %w", ErrDeadlineExceeded))
-		return false
-	}
-	t.h.MarkStarted(chip)
-	c.trace(&t.job, obs.StageExecuting, "", chip)
-	sys := c.systems[chip]
-	claim := c.acquireRegion(chip, r.v)
-	// The busy clock starts after the claim: waiting for a conflicting
-	// region is queue time, not execution time, or per-chip busy% would
-	// exceed 100%.
-	start := c.clk.Now()
-	if c.testExecHook != nil {
-		c.testExecHook(chip)
-	}
-	r.v.ResetForRun()
-	var rep Report
-	var err error
-	if r.cm == nil {
-		r.cm, err = c.compileFor(chip, r.v, t.job.Model, t.job.modelSig)
-	}
-	if err == nil {
-		rep, err = sys.RunCompiled(t.ctx, r.v, r.cm, t.job.Iterations)
-	}
-	// Measure before releasing the claim: post-release descheduling
-	// would otherwise bleed into the next job's execution time.
-	busy := c.clk.Since(start)
-	c.releaseRegion(chip, claim, r.v.NumCores(), busy)
-	c.sessMu.Lock()
-	c.sessChipJobs[chip]++
-	c.sessMu.Unlock()
-	c.sessExec[t.job.Priority.class()].Observe(busy)
-	if err != nil {
-		c.finishSess(t, JobReport{}, err)
-		return t.ctx.Err() == nil
-	}
-	c.finishSess(t, JobReport{
-		Report:   rep,
-		Chip:     chip,
-		Tenant:   t.job.tenant(),
-		Model:    t.job.Model.Name,
-		MapCost:  r.v.MapCost(),
-		Priority: t.job.Priority,
-		Warm:     warm,
-	}, nil)
-	return false
-}
-
-// finishSess resolves a session job's handle, books it into the
-// scheduler core's per-class accounting (so SchedStats covers both
-// serving paths), and returns its admission and quota slots.
-func (c *Cluster) finishSess(t *sessTask, rep JobReport, err error) {
-	c.sessMu.Lock()
-	c.sessInflight--
-	if err == nil {
-		c.sessCompleted++
-	} else {
-		c.sessFailed++
-	}
-	c.sessMu.Unlock()
-	class := t.job.Priority.class()
-	c.sessE2E[class].Observe(t.h.Sojourn())
-	if c.rec != nil || c.slo != nil {
-		stage := obs.StageDone
-		if err != nil {
-			stage = obs.StageFailed
-		}
-		c.trace(&t.job, stage, "", t.h.Chip())
-	}
-	c.disp.ReleaseSlot(t.h.Tenant())
-	t.h.Finish(rep, err)
-	c.disp.ExternalDone(class, t.h.QueueWait(), err)
-	c.sessWG.Done()
-}
-
-// createSession is the pool's cold path: place and create a resident
-// vNPU for the session class, filed under the creating job's scheduling
-// class. Candidates keep the engine's cost-then-price order; among
-// equals, the chip already holding the most session cores of
-// equal-or-lower class wins — consolidating onto residency this class is
-// allowed to cannibalize under pressure, while higher-class warm pools
-// and genuinely free chips stay intact for topologies that need fresh
-// rectangles.
-func (c *Cluster) createSession(req Request, class int) (int, *sessRes, error) {
-	preq := placeRequest(req)
-	cands, err := c.engine.Place(preq)
-	if err != nil {
-		return 0, nil, err
-	}
-	// Snapshot held counts once (HeldBelow takes the engine lock), then
-	// re-rank with the consolidation tiebreak as a proper lexicographic
-	// order: cost, price, then most reclaimable session-held cores first.
-	held := make(map[int]int, len(cands))
-	for _, cand := range cands {
-		held[cand.Chip] = c.engine.HeldBelow(cand.Chip, class)
-	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].Cost != cands[b].Cost {
-			return cands[a].Cost < cands[b].Cost
-		}
-		if cands[a].Price != cands[b].Price {
-			return cands[a].Price < cands[b].Price
-		}
-		return held[cands[a].Chip] > held[cands[b].Chip]
-	})
-	var lastErr error
-	for _, cand := range cands {
-		v, err := c.createPlaced(cand.Chip, req, func(nodes []topo.NodeID) error {
-			return c.engine.Reserve(cand.Chip, nodes, class)
-		})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		// The resident vNPU executes inside its own timing domain for
-		// its whole lifetime, so warm jobs overlap disjoint neighbors.
-		// An overlap failure means the placement view is corrupt — undo
-		// the create rather than serve on shared timing.
-		if err := v.OpenDomain(); err != nil {
-			_ = c.destroySession(cand.Chip, &sessRes{v: v, class: class})
-			return 0, nil, err
-		}
-		return cand.Chip, &sessRes{v: v, class: class}, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("vnpu: no chip can host the session: %w", ErrNoCapacity)
-	}
-	return 0, nil, lastErr
+	return placement{v: v, sess: l, warm: warm}, nil
 }
 
 // destroySession is the pool's destroy hook: tear the resident vNPU down

@@ -629,3 +629,50 @@ func TestPriorityChurnRace(t *testing.T) {
 		t.Fatalf("per-class accounting leaked: submitted %d, resolved %d (%+v)", sub, done, ss.Classes)
 	}
 }
+
+// TestSessionIdleWhenWaitReturns: a session job's worker releases its
+// session before it resolves the job's handle, so the moment Wait
+// returns the session is idle and its cores count as warm — checked
+// right after each Wait, with no sleep and no polling.
+func TestSessionIdleWhenWaitReturns(t *testing.T) {
+	cfg := FPGAConfig()
+	c := newReuseCluster(t, cfg, 1, WithTimingBackend(FastTimingBackend(16)))
+	defer c.Close()
+
+	job := Job{Tenant: "t", Model: DecodeModel(1, 64, 16), Topology: Mesh(2, 4), Reusable: true}
+	for i := 0; i < 200; i++ {
+		submitWait(t, c, job)
+		if s := c.SessionStats(); s.BusySessions != 0 {
+			t.Fatalf("job %d: session still busy after Wait: %+v", i, s)
+		}
+		if u := c.CoreUsage()[0]; u.WarmIdle != cfg.Cores() {
+			t.Fatalf("job %d: usage after Wait %+v, want all %d cores warm-idle", i, u, cfg.Cores())
+		}
+	}
+}
+
+// TestSessionExecutionFailureDestroysSession: a job that fails on its
+// session for a reason other than its own cancellation — here a memory
+// bound below the compiled footprint — leaves the session suspect, so
+// the session is destroyed at its last release instead of pooled.
+func TestSessionExecutionFailureDestroysSession(t *testing.T) {
+	c := newReuseCluster(t, FPGAConfig(), 1)
+	job := Job{Tenant: "t", Model: mustModel(t, "alexnet"), Topology: Mesh(2, 2), Reusable: true,
+		Options: []Option{WithMemory(1 << 12)}}
+	h, err := c.Submit(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(context.Background()); !errors.Is(err, ErrMemoryExceeded) {
+		t.Fatalf("want ErrMemoryExceeded, got %v", err)
+	}
+	if s := c.SessionStats(); s.ColdCreates != 1 || s.IdleSessions != 0 || s.BusySessions != 0 {
+		t.Fatalf("failed session was pooled: %+v", s)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if u := c.Utilization()[0]; u != 0 {
+		t.Fatalf("chip still %.0f%% allocated after Close", u*100)
+	}
+}

@@ -11,8 +11,8 @@ import (
 
 // This file is the cluster's observability plane (see internal/obs):
 // the metrics registry every counter family reports into, the lifecycle
-// trace hooks shared by both serving paths, and the unified snapshot
-// that replaces the former per-family ad-hoc field copies.
+// trace hook, and the unified snapshot that replaces the former
+// per-family ad-hoc field copies.
 
 // TraceEvent is one recorded job lifecycle transition; see
 // Cluster.TraceSnapshot and obs.Event for field semantics.
@@ -108,8 +108,8 @@ func (c *Cluster) shardLabel() obs.Label {
 
 // stageHist is the StageHist provider handed to the scheduler core: one
 // histogram per (stage, priority class), registered in the cluster's
-// registry under the shared vnpu_stage_latency_seconds family so both
-// serving paths and every shard report into mergeable series.
+// registry under the shared vnpu_stage_latency_seconds family so every
+// shard reports into mergeable series.
 func (c *Cluster) stageHist(stage string, class int) *obs.Histogram {
 	return c.reg.Histogram("vnpu_stage_latency_seconds",
 		"Serving latency per lifecycle stage and priority class.",
@@ -120,11 +120,10 @@ func (c *Cluster) stageHist(stage string, class int) *obs.Histogram {
 }
 
 // trace records one lifecycle event for a job. It is the single
-// recording seam for both serving paths — the dispatcher calls it via
-// SetObserver, the session path directly — feeding the trace recorder
-// and the SLO tracker alike, and a no-op when both are off, so the hot
-// paths pay two nil checks. The pointer spares the hot paths a Job copy
-// per stage.
+// recording seam — the dispatcher calls it via SetObserver, Submit and
+// placeSession directly — feeding the trace recorder and the SLO tracker
+// alike, and a no-op when both are off, so the hot paths pay two nil
+// checks. The pointer spares the hot paths a Job copy per stage.
 func (c *Cluster) trace(job *Job, stage obs.Stage, detail string, chip int) {
 	if c.rec == nil && c.slo == nil {
 		return
@@ -148,9 +147,9 @@ func (c *Cluster) trace(job *Job, stage obs.Stage, detail string, chip int) {
 }
 
 // ClusterSnapshot bundles every per-cluster counter family, captured in
-// one pass: one dispatcher read and one session-counter merge feed all
-// four families, so the former per-accessor ad-hoc copies (each taking
-// the locks again) are gone.
+// one pass: one dispatcher read feeds the serving and scheduler
+// families, so the former per-accessor ad-hoc copies (each taking the
+// locks again) are gone.
 type ClusterSnapshot struct {
 	Cluster   ClusterStats
 	Sched     SchedStats
@@ -167,7 +166,7 @@ func (c *Cluster) Snapshot() ClusterSnapshot {
 	// worker-measured ChipBusy is deliberately not used: with several
 	// execution slots per chip the workers' wall-clock sums can exceed
 	// elapsed time. ChipBusy instead comes from the cluster's occupancy
-	// integral, which both execution paths feed (releaseRegion).
+	// integral, which every execution feeds (releaseRegion).
 	s := ClusterStats{
 		Submitted:         ds.Submitted,
 		RejectedQueueFull: ds.RejectedQueueFull,
@@ -201,14 +200,6 @@ func (c *Cluster) Snapshot() ClusterSnapshot {
 			}
 		}
 	}
-	c.sessMu.Lock()
-	s.Submitted += c.sessSubmitted
-	s.Completed += c.sessCompleted
-	s.Failed += c.sessFailed
-	for i := range c.sessChipJobs {
-		s.ChipJobs[i] += c.sessChipJobs[i]
-	}
-	c.sessMu.Unlock()
 	snap := ClusterSnapshot{
 		Cluster:   s,
 		Sched:     SchedStats{Classes: ds.PerClass},
@@ -250,7 +241,7 @@ func (c *Cluster) collect(emit func(obs.Sample)) {
 
 	for i, cl := range snap.Sched.Classes {
 		class := obs.Label{Key: "class", Value: Priority(i + 1).String()}
-		counter("vnpu_class_submitted_total", "Jobs admitted per priority class (both serving paths).", float64(cl.Submitted), class)
+		counter("vnpu_class_submitted_total", "Jobs admitted per priority class.", float64(cl.Submitted), class)
 		counter("vnpu_class_completed_total", "Jobs completed per priority class.", float64(cl.Completed), class)
 		counter("vnpu_class_failed_total", "Jobs failed per priority class.", float64(cl.Failed), class)
 		counter("vnpu_class_deadline_misses_total", "Jobs whose deadline passed before placement, per class.", float64(cl.DeadlineMisses), class)
@@ -283,7 +274,7 @@ func (c *Cluster) collect(emit func(obs.Sample)) {
 	ss := snap.Sessions
 	counter("vnpu_session_warm_hits_total", "Jobs served by an idle resident session.", float64(ss.WarmHits))
 	counter("vnpu_session_cold_creates_total", "Jobs that created a resident session.", float64(ss.ColdCreates))
-	counter("vnpu_session_batched_total", "Jobs co-scheduled onto a busy session's micro-queue.", float64(ss.Batched))
+	counter("vnpu_session_batched_total", "Jobs attached to a busy session to run after its current job.", float64(ss.Batched))
 	counter("vnpu_session_evictions_total", "Idle sessions destroyed, by cause.", float64(ss.EvictedTTL), obs.Label{Key: "cause", Value: "ttl"})
 	counter("vnpu_session_evictions_total", "Idle sessions destroyed, by cause.", float64(ss.EvictedLRU), obs.Label{Key: "cause", Value: "lru"})
 	counter("vnpu_session_evictions_total", "Idle sessions destroyed, by cause.", float64(ss.EvictedPressure), obs.Label{Key: "cause", Value: "pressure"})
@@ -293,16 +284,6 @@ func (c *Cluster) collect(emit func(obs.Sample)) {
 
 	if c.rec != nil {
 		counter("vnpu_trace_dropped_total", "Lifecycle trace events overwritten in the ring buffers.", float64(c.TraceDropped()))
-	}
-}
-
-// initStageHists fetches the session path's handles on the same stage
-// histograms the dispatcher fills (get-or-create via stageHist, so the
-// pointers are shared).
-func (c *Cluster) initStageHists() {
-	for class := 0; class < NumPriorityClasses; class++ {
-		c.sessExec[class] = c.stageHist("exec", class)
-		c.sessE2E[class] = c.stageHist("e2e", class)
 	}
 }
 

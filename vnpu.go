@@ -53,14 +53,15 @@
 //
 // # Session reuse and continuous batching
 //
-// With WithSessionReuse, session-eligible jobs (Job.Reusable, or
-// auto-promoted repeat fingerprints) lease resident vNPUs from a pool
-// (internal/session) keyed by (tenant, model, topology, options): warm
-// jobs skip placement, creation and compilation entirely, bursts of
-// identical jobs are co-scheduled back-to-back on one resident vNPU
-// through per-session micro-queues, and idle sessions are reclaimed — by
-// TTL, by an LRU bound, or on demand whenever any job cannot otherwise
-// be placed. SessionStats reports the warm-hit rate; JobReport.Warm
+// With WithSessionReuse, session-keyed jobs (Job.Reusable, or
+// auto-promoted repeat fingerprints) run on resident vNPUs from a pool
+// (internal/session) keyed by (tenant, model, topology, options). They
+// take the same dispatcher path as every job, where a resident session
+// is one more placement outcome: warm jobs skip placement, creation and
+// compilation entirely, bursts of identical jobs attach to a busy
+// session and run back-to-back on its resident vNPU, and idle sessions
+// are reclaimed — by TTL, by an LRU bound, or on demand whenever any job
+// cannot otherwise be placed. SessionStats reports the warm-hit rate; JobReport.Warm
 // marks jobs served by a resident session. Reused vNPUs are
 // cycle-identical to freshly created ones (per-job transient resets).
 //
